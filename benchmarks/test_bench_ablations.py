@@ -12,7 +12,7 @@ to its implementation choices, on the GM workload:
 
 from repro.bench.harness import measure
 from repro.bench.reporting import format_table
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.matching import matches_trace
 from repro.core.weights import NAMED_DISTANCES
 from repro.theory.theorems import feasible_pair_universe

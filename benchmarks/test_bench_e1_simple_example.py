@@ -8,7 +8,7 @@ after period 1), the five survivors (``d81 … d85``), and ``dLUB``
 Run with ``-s`` to see the regenerated tables.
 """
 
-from repro.core.exact import ExactLearner, learn_exact
+from repro.core.batch import ExactLearner, learn_exact
 from repro.core.learner import learn_dependencies
 
 

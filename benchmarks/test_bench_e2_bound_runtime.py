@@ -27,8 +27,7 @@ import pytest
 
 from repro.bench.harness import measure, phase_speedup
 from repro.bench.reporting import format_hot_loop, format_table, shape_check
-from repro.core.exact import learn_exact
-from repro.core.heuristic import BoundedLearner, learn_bounded
+from repro.core.batch import BoundedLearner, learn_bounded, learn_exact
 from repro.errors import LearningError
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))

@@ -26,7 +26,7 @@ from repro.analysis.properties import (
     published_case_study_properties,
 )
 from repro.baselines.direct_follows import mine_dependencies
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 
 LEARN_BOUND = 16
 

@@ -16,8 +16,7 @@ the ordering criterion (the LUB absorbs the merge order).
 """
 
 from repro.bench.workloads import scaling_workload
-from repro.core.exact import learn_exact
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded, learn_exact
 from repro.core.matching import matches_trace
 from repro.theory.theorems import check_convergence, check_lemma
 

@@ -17,7 +17,7 @@ more than the bound allows).
 from repro.bench.harness import measure
 from repro.bench.reporting import format_table
 from repro.bench.workloads import gm_workload, scaling_workload
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 
 BOUND = 16
 

@@ -14,7 +14,7 @@ preemptors excluded for Q.
 
 from repro.analysis.latency import compare_path_latency, response_time
 from repro.bench.reporting import format_table
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 
 CRITICAL_PATH = ["O", "P", "Q"]
 

@@ -13,7 +13,7 @@ smaller; the reduction factor must grow with system size.
 from repro.analysis.reachability import compare_state_spaces
 from repro.bench.reporting import format_table
 from repro.bench.workloads import scaling_workload
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 
 GM_CORE = ("S", "A", "L", "N", "B", "M", "O", "H", "P", "Q")
 

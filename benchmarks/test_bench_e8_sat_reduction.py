@@ -9,7 +9,7 @@ the exponential growth of its hypothesis set as instances grow.
 
 from repro.bench.harness import measure
 from repro.bench.reporting import format_table
-from repro.core.exact import learn_exact
+from repro.core.batch import learn_exact
 from repro.theory.sat_reduction import (
     CnfFormula,
     brute_force_minimal_hitting_sets,

@@ -8,7 +8,7 @@ model. pytest-benchmark records these so regressions show up in CI.
 
 import io
 
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.systems.gateway import gateway_config, gateway_design
 from repro.trace.streaming import stream_learn
@@ -80,62 +80,6 @@ def test_throughput_mask_kernel_speedup(gm):
         f"{slow.seconds:.3f}s = {factor:.2f}x"
     )
     assert factor >= 1.5, f"expected >= 1.5x over the string kernel, got {factor:.2f}x"
-
-
-def test_throughput_batch_kernel_speedup(gm):
-    """The vectorized batch kernel vs the loop kernel, both directions.
-
-    Identity is unconditional: the batch learner must produce the same
-    hypothesis pools, functions, LUB and merge count as the loop learner
-    on the GM workload (randomized traces are covered by
-    ``tests/property/test_batch_kernel_props.py``). The >= 2x kernel-op
-    throughput floor is measured on recorded real extension cells (the
-    same replay ``throughput_json.py`` commits to the baseline) and is
-    gated on cpu count and smoke mode like the other speed assertions.
-    """
-    import os
-
-    from repro.core.batch import batch_available, learn_bounded_batch
-
-    from conftest import SMOKE
-    from throughput_json import (
-        BATCH_OP_BOUND,
-        MIN_BATCH_KERNEL_SPEEDUP,
-        measure_kernel_ops,
-    )
-
-    if not batch_available():
-        import pytest
-
-        pytest.skip("numpy not importable; batch kernel unavailable")
-    trace = gm.trace.subtrace(8)
-    bound = 16
-    loop = learn_bounded(trace, bound)
-    batch = learn_bounded_batch(trace, bound)
-    assert [h.pairs for h in batch.hypotheses] == [
-        h.pairs for h in loop.hypotheses
-    ]
-    assert batch.functions == loop.functions
-    assert batch.lub() == loop.lub()
-    assert batch.merge_count == loop.merge_count
-    assert batch.kernel == "batch"
-
-    ops = measure_kernel_ops(trace, BATCH_OP_BOUND, repeats=3)
-    print(
-        f"\n[throughput] batch kernel {ops['ops_per_second']:.0f} cells/s "
-        f"vs loop {ops['loop_ops_per_second']:.0f} cells/s = "
-        f"{ops['speedup_vs_loop']:.2f}x"
-    )
-    if os.cpu_count() >= 4 and not SMOKE:
-        assert ops["speedup_vs_loop"] >= MIN_BATCH_KERNEL_SPEEDUP, (
-            f"expected >= {MIN_BATCH_KERNEL_SPEEDUP:.1f}x over the loop "
-            f"kernel, got {ops['speedup_vs_loop']:.2f}x"
-        )
-    else:
-        print(
-            "[throughput] batch speedup assertion skipped "
-            f"(cpus={os.cpu_count()}, smoke={SMOKE})"
-        )
 
 
 def test_throughput_streamed_learning(benchmark, gm):

@@ -3,11 +3,7 @@
 Measures ops/sec for the three pipelines a user actually pays for —
 simulation, bounded learning, and streamed ingest — plus the reference
 (string-kernel) learner so the mask kernel's speedup factor is recorded
-alongside the absolute numbers. When numpy is importable two batch-kernel
-entries are added: ``learner_batch`` (kernel-op throughput, loop vs batch,
-replaying the extension cells recorded from a real GM learn) and
-``learner_bounded_batch`` (the batch learner end to end). Run via
-``make bench-json``::
+alongside the absolute numbers. Run via ``make bench-json``::
 
     python benchmarks/throughput_json.py              # regenerate baseline
     python benchmarks/throughput_json.py --check      # soft regression gate
@@ -27,9 +23,7 @@ latency the daemon is supposed to overlap).
 
 ``--check`` compares a fresh measurement against the committed baseline
 and exits non-zero if bounded-learner or store-ingest throughput dropped
-by more than 20%, if the batch kernel fell under 2x the loop kernel on
-recorded cells, if the batch learner regressed the loop learner end to
-end, if a store-backed (mmap) learn runs more than 10% slower than
+by more than 20%, if a store-backed (mmap) learn runs more than 10% slower than
 the in-memory learn (``learner_store`` parity), or if the distributed
 learn falls below 1.5x the sequential learner.
 On machines with fewer than 4 CPUs (or under ``REPRO_BENCH_SMOKE=1``) the
@@ -61,14 +55,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.workloads import gm_workload  # noqa: E402
-from repro.core import lattice  # noqa: E402
-from repro.core.batch import (  # noqa: E402
-    batch_available,
-    batch_extension_tables,
-    learn_bounded_batch,
-)
-from repro.core.heuristic import BoundedLearner, learn_bounded  # noqa: E402
-from repro.core.interning import WeightKernel  # noqa: E402
+from repro.core.batch import learn_bounded  # noqa: E402
 from repro.core.reference import learn_bounded_reference  # noqa: E402
 from repro.pipeline.ingest import ingest_to_store  # noqa: E402
 from repro.trace.formats import get_format  # noqa: E402
@@ -83,14 +70,6 @@ REGRESSION_TOLERANCE = 0.20
 #: Below this CPU count the gate is advisory only (CI noise floor).
 MIN_CPUS_FOR_GATE = 4
 
-
-#: Minimum kernel-op speedup (batch over loop) that passes --check.
-MIN_BATCH_KERNEL_SPEEDUP = 2.0
-#: Pool bound for the recorded kernel-op workload. Larger than
-#: LEARNER_BOUND on purpose: per-message matrices are (pool x
-#: candidates), and the vectorized win is what matters at the pool
-#: sizes where the loop kernel actually hurts.
-BATCH_OP_BOUND = 64
 
 #: Maximum fractional slowdown of a store-backed learn over the
 #: in-memory learn that passes --check: lazily materializing periods
@@ -129,85 +108,6 @@ def _best_seconds(call, repeats: int = 3) -> float:
         call()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def _record_kernel_workload(trace, bound: int):
-    """Record the real per-message extension workload of a bounded run.
-
-    Runs the loop learner over *trace* with a recorder hook: every
-    ``(pool entries, candidate bits)`` pair the inner loop sees is
-    captured verbatim, so the kernel-op benchmark replays the exact
-    (hypothesis x candidate) cells a production learn evaluates — no
-    synthetic masks. Returns the snapshots plus a weight kernel built
-    from the run's final statistics to evaluate them under.
-    """
-    snapshots: list[tuple[list, tuple]] = []
-
-    class Recorder(BoundedLearner):
-        def _process_message(self, entries, bits, history):
-            snapshots.append((list(entries), tuple(bits)))
-            return super()._process_message(entries, bits, history)
-
-    learner = Recorder(trace.tasks, bound)
-    learner.feed_trace(trace.periods)
-    kernel = WeightKernel(learner.table, learner.stats, lattice.distance)
-    return kernel, snapshots
-
-
-def _loop_extension_tables(kernel: WeightKernel, entries, bits):
-    """The loop kernel's per-cell form of ``batch_extension_tables``."""
-    extension_delta = kernel.extension_delta
-    feasible_rows, weight_rows = [], []
-    for mask, period_mask, weight in entries:
-        feasible_rows.append([not period_mask & bit for bit in bits])
-        weight_rows.append(
-            [weight + extension_delta(mask, bit) for bit in bits]
-        )
-    return feasible_rows, weight_rows
-
-
-def measure_kernel_ops(trace, bound: int, repeats: int) -> dict:
-    """Kernel-op throughput, loop vs batch, on recorded real cells.
-
-    One op is one (hypothesis, candidate) extension cell — feasibility
-    test plus child weight — exactly what the learner's inner loop
-    evaluates per message. Both backends replay the same recorded
-    snapshots and their outputs are asserted identical before timing.
-    """
-    kernel, snapshots = _record_kernel_workload(trace, bound)
-    cells = sum(len(entries) * len(bits) for entries, bits in snapshots)
-
-    for entries, bits in snapshots:
-        expected = _loop_extension_tables(kernel, entries, bits)
-        actual = batch_extension_tables(kernel, entries, bits)
-        if expected != actual:
-            raise RuntimeError(
-                "batch kernel diverged from the loop kernel on recorded "
-                "gm extension cells; refusing to benchmark a wrong kernel"
-            )
-
-    def run_loop():
-        for entries, bits in snapshots:
-            _loop_extension_tables(kernel, entries, bits)
-
-    def run_batch():
-        for entries, bits in snapshots:
-            batch_extension_tables(kernel, entries, bits)
-
-    loop_seconds = _best_seconds(run_loop, repeats)
-    batch_seconds = _best_seconds(run_batch, repeats)
-    return {
-        "seconds": batch_seconds,
-        "ops_per_second": cells / batch_seconds,
-        "unit": "cells/s",
-        "workload": (
-            f"recorded extension cells: {len(snapshots)} messages, "
-            f"{cells} (hypothesis x candidate) cells, bound={bound}"
-        ),
-        "loop_seconds": loop_seconds,
-        "loop_ops_per_second": cells / loop_seconds,
-        "speedup_vs_loop": loop_seconds / batch_seconds,
-    }
 
 
 def _free_port() -> int:
@@ -449,32 +349,6 @@ def measure_throughput(smoke: bool = False) -> dict:
             lambda: learn_bounded(store_trace, LEARNER_BOUND), repeats
         )
 
-    batch_entries: dict = {}
-    if batch_available():
-        loop_result = learn_bounded(learn_trace, LEARNER_BOUND)
-        batch_result = learn_bounded_batch(learn_trace, LEARNER_BOUND)
-        if loop_result.hypotheses != batch_result.hypotheses:
-            raise RuntimeError(
-                "batch learner diverged from the loop learner on the gm "
-                "workload; refusing to benchmark a wrong kernel"
-            )
-        batch_learner_seconds = _best_seconds(
-            lambda: learn_bounded_batch(learn_trace, LEARNER_BOUND), repeats
-        )
-        batch_entries["learner_batch"] = measure_kernel_ops(
-            learn_trace, BATCH_OP_BOUND, repeats
-        )
-        batch_entries["learner_bounded_batch"] = {
-            "seconds": batch_learner_seconds,
-            "ops_per_second": 1.0 / batch_learner_seconds,
-            "unit": "traces/s",
-            "workload": (
-                f"gm subtrace({len(learn_trace.periods)}), "
-                f"bound={LEARNER_BOUND}, batch kernel, end to end"
-            ),
-            "speedup_vs_loop": learner_seconds / batch_learner_seconds,
-        }
-
     distributed_entry = measure_distributed(
         learn_trace, learner_seconds, repeats
     )
@@ -537,7 +411,6 @@ def measure_throughput(smoke: bool = False) -> dict:
             },
             "learner_distributed": distributed_entry,
             "service_sessions": service_entry,
-            **batch_entries,
         },
         "environment": {
             "python": platform.python_version(),
@@ -551,11 +424,10 @@ def measure_throughput(smoke: bool = False) -> dict:
 def check_regression(current: dict, baseline: dict) -> list[str]:
     """Gate failures (empty list = pass): learner throughput vs baseline.
 
-    Two gates: the bounded (loop) learner must stay within
-    ``REGRESSION_TOLERANCE`` of the committed baseline, and the batch
-    kernel must keep earning its existence — at least
-    ``MIN_BATCH_KERNEL_SPEEDUP`` x the loop kernel on recorded cells and
-    no end-to-end regression beyond the same tolerance.
+    The bounded learner and store ingest must stay within
+    ``REGRESSION_TOLERANCE`` of the committed baseline; the store-backed
+    learn, the distributed learn and the session storm must clear their
+    parity and speedup floors.
     """
     failures = []
     for key in ("learner_bounded", "ingest_store"):
@@ -579,23 +451,6 @@ def check_regression(current: dict, baseline: dict) -> list[str]:
                 f"learner_store: {parity:.2f}x of the in-memory learn is "
                 f"below the {1.0 - STORE_PARITY_TOLERANCE:.2f}x parity "
                 "floor (mmap materialization too expensive)"
-            )
-    kernel_ops = current["benchmarks"].get("learner_batch")
-    if kernel_ops is not None:
-        speedup = kernel_ops["speedup_vs_loop"]
-        if speedup < MIN_BATCH_KERNEL_SPEEDUP:
-            failures.append(
-                f"learner_batch: {speedup:.2f}x over the loop kernel is "
-                f"below the {MIN_BATCH_KERNEL_SPEEDUP:.1f}x floor"
-            )
-    end_to_end = current["benchmarks"].get("learner_bounded_batch")
-    if end_to_end is not None:
-        speedup = end_to_end["speedup_vs_loop"]
-        if speedup < 1.0 - REGRESSION_TOLERANCE:
-            failures.append(
-                f"learner_bounded_batch: {speedup:.2f}x end to end "
-                f"regresses the loop learner by more than "
-                f"{REGRESSION_TOLERANCE:.0%}"
             )
     distributed = current["benchmarks"].get("learner_distributed")
     if distributed is not None:

@@ -21,7 +21,7 @@ from repro.analysis.pathfinder import (
     CriticalPathComparison,
     compare_critical_paths,
 )
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.result import LearningResult
 from repro.systems.model import SystemDesign
 from repro.systems.semantics import ground_truth_dependencies

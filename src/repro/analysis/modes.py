@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from repro.core.depfunc import DependencyFunction
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.errors import AnalysisError
 from repro.trace.trace import Trace
 

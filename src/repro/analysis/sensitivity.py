@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.depfunc import DependencyFunction
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.lattice import DETERMINES
 from repro.errors import AnalysisError
 from repro.trace.trace import Trace

@@ -7,9 +7,10 @@ Public surface:
 * :mod:`repro.core.hypothesis` — pair-set hypotheses;
 * :mod:`repro.core.candidates` — temporal sender/receiver candidates;
 * :mod:`repro.core.matching` — the matching function ``M``;
-* :mod:`repro.core.exact` / :mod:`repro.core.heuristic` — the two learners;
-* :mod:`repro.core.interning` — the pair-index bitmask kernel the learners
-  run on (``TaskTable`` / ``PairSet`` / ``WeightKernel``);
+* :mod:`repro.core.batch` — the mask kernel: the exact and bounded
+  learners on pair-index bitmasks;
+* :mod:`repro.core.interning` — the pair-index interning the kernel runs
+  on (``TaskTable`` / ``PairSet`` / ``WeightKernel``);
 * :mod:`repro.core.reference` — the string-frozenset reference kernel kept
   for differential tests and benchmarks;
 * :mod:`repro.core.learner` — the :func:`learn_dependencies` facade.
@@ -20,8 +21,12 @@ from repro.core.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.core.exact import ExactLearner, learn_exact
-from repro.core.heuristic import BoundedLearner, learn_bounded
+from repro.core.batch import (
+    BoundedLearner,
+    ExactLearner,
+    learn_bounded,
+    learn_exact,
+)
 from repro.core.hypothesis import Hypothesis
 from repro.core.instrumentation import HotLoopCounters
 from repro.core.interning import PairSet, TaskTable, WeightKernel, task_table

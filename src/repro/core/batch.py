@@ -1,57 +1,71 @@
-"""Batched numpy array-of-masks backend of the mask kernel.
+"""The mask kernel: the paper's exact and bounded learners.
 
-The loop kernel (:mod:`repro.core.interning` driven by
-:mod:`repro.core.heuristic` / :mod:`repro.core.exact`) processes one
-hypothesis × candidate at a time; this module re-expresses the kernel's
-four per-message operations as bulk bitwise ops over ``uint64`` mask
-columns (multi-word for > 64 pairs):
+Both learners keep their hypothesis pool as pair-index bitmasks over one
+:class:`~repro.core.interning.TaskTable` (see
+:class:`~repro.core.base.MaskedLearner`) and run every per-message step
+as bulk bitwise operations over ``uint64`` mask columns (multi-word for
+> 64 pairs).
 
-* **candidate-set computation** — the feasibility test ``period_mask &
-  bit == 0`` for every (hypothesis, candidate) cell at once;
-* **Definition 8 weight refresh** — extension deltas and from-scratch
-  set weights from the term tables, vectorized over whole pools
-  (:func:`batch_set_weights`, :func:`batch_extension_tables`);
-* **LUB merges** — union deltas as bulk weight differences
-  (:func:`batch_union_deltas`) plus an O(popcount) inline delta in the
-  bounded cascade;
-* **superset elimination** — the exact algorithm's redundancy test as
-  block subset comparisons (:func:`batch_remove_redundant_masks`).
+**The exact algorithm** (paper Section 3.1) starts from ``{d⊥}`` and,
+per message in bus order, extends every hypothesis with every feasible
+sender-receiver assumption (temporally possible and not already used by
+another message of the same period); hypotheses with no feasible
+extension die. At the end of the period the per-period assumptions are
+dropped, equal hypotheses unified, and strict generalizations of another
+survivor deleted. The set grows exponentially in the worst case
+(Theorem 1: the problem is NP-hard). Feasibility of every (hypothesis,
+candidate) cell is one bulk test over packed period-mask columns, and
+the redundancy elimination runs as block subset comparisons.
 
-Everything stays behind the existing mask boundary: the learners here
-subclass :class:`~repro.core.heuristic.BoundedLearner` /
-:class:`~repro.core.exact.ExactLearner` and only replace hot-loop
-internals, so checkpoints, sharding, ``result()`` and repro-lint's RL003
-containment are untouched. Model identity with the loop kernel (and the
-string reference oracle) is bit-for-bit and asserted by the property
-suite ``tests/property/test_batch_kernel_props.py``.
+**The bounded heuristic** (Section 3.2) replaces the set with a
+weight-ordered working list of at most ``bound`` hypotheses. Whenever an
+extension pushes the list one past the bound, the two lightest
+hypotheses are replaced by their least upper bound (pair-set union).
+Weight is Definition 8: the sum over ordered task pairs of the square
+distance of the pair's dependency value from the lattice bottom, so
+merging the lightest pair sacrifices the least specificity. The
+heuristic is sound (Theorem 2) but conservative; the paper's Lemma (the
+LUB of the output equals the bound-1 output) and Theorem 4 (on
+convergence it coincides with the exact result) are checked by
+``repro.theory.theorems`` and experiment E4.
 
-Kernel selection goes through the small registry at the top
-(:data:`KERNEL_CHOICES`, :func:`resolve_kernel`): ``"auto"`` picks the
-batch backend exactly when numpy is importable, so environments without
-numpy silently keep the loop kernel.
+Implementation notes for the bounded learner:
 
-Implementation notes for the bounded cascade
---------------------------------------------
-
-The bounded learner's per-message step keeps three exact equivalences
-that make the fast path bit-identical to the loop kernel:
-
+* **Incremental weights.** Extending a hypothesis by one pair changes at
+  most two dependency-function entries (the pair and its mirror), so a
+  child's weight is its parent's plus an O(1) delta, and a merge adds
+  one delta per pair the second parent contributes. Across periods only
+  an ``always_implies`` flip can change a carried weight, and
+  :meth:`CoExecutionStats.add_period` reports exactly the flipped
+  (*dirty*) pairs, so the per-period refresh applies one O(1) delta per
+  dirty pair. That makes the paper's ``O(m b^2 + m b t^2)`` bound
+  reachable in Python; the
+  :class:`~repro.core.instrumentation.HotLoopCounters` on the result
+  attest it (no from-scratch refreshes on periods without dirty pairs).
 * **Compact pair interning.** Real traces touch a small fraction of the
-  ``t^2`` pair bits (the gm workload: ~130 of 324). Candidate bits are
+  ``t^2`` pair bits (the GM workload: ~130 of 324). Candidate bits are
   re-interned into a dense compact index space, first-seen append-only,
   so in-flight masks fit one or two machine words. Iteration stays in
-  *canonical* bit order (ascending pair index), so exploration order —
-  and therefore dedup and merge order — is unchanged.
-* **Combined single-int keys.** An in-flight hypothesis is one int:
+  *canonical* bit order (ascending pair index, which is lexicographic
+  pair order), so exploration, dedup and merge order reproduce the
+  string reference oracle (:mod:`repro.core.reference`) bit for bit.
+* **Combined single-int keys.** An in-flight hypothesis is one int,
   ``(mask << S) | period_mask`` over compact bits, so extension and the
   LUB merge are each a single ``|``.
-* **Eager sorted-list pool.** The loop kernel's heap never holds a stale
-  entry: inserts push exactly when a key is new and every removal pops
-  the matching entry, so the heap multiset always equals the pool key
-  set. An eagerly maintained sorted list (lightest at the end, priority
-  ``-(weight << SEQ_BITS) - seq``) is therefore observably identical,
-  and makes pop O(1). Weights are pure functions of the mask under fixed
-  statistics, which licenses the overwrite-dedup ``pool[key] = weight``.
+* **Sorted-list pool.** The pool is a dict plus a list sorted by
+  priority ``-(weight << SEQ_BITS) - seq`` (lightest last), so popping
+  the lightest entry is O(1) and ties break by insertion order. Weights
+  are pure functions of the mask under fixed statistics, which licenses
+  the overwrite-dedup ``pool[key] = weight``. Weights must therefore be
+  integers: every distance in :mod:`repro.core.weights` is.
+* **Valid per-period assignments.** A merged hypothesis inherits the
+  first parent's per-period assumptions, which stay a legal distinct
+  assignment inside the union pair set. If a later message finds every
+  candidate claimed, the whole period's assignment is recomputed by
+  backtracking over the period's candidate history, preferring pairs
+  the hypothesis already assumed (:meth:`BoundedLearner._reassign_period`).
+  Both rules keep every kept hypothesis matching every processed
+  instance, which is what Theorem 2 requires.
 """
 
 from __future__ import annotations
@@ -60,61 +74,37 @@ import time
 from bisect import insort
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core import lattice
+from repro.core.base import MaskedLearner
 from repro.core.candidates import candidate_pairs
-from repro.core.exact import ExactLearner, _remove_redundant_masks
-from repro.core.heuristic import BoundedLearner
+from repro.core.hypothesis import Hypothesis
 from repro.core.instrumentation import hot_loop
 from repro.core.interning import WeightKernel
 from repro.core.result import LearningResult
-from repro.core.weights import DistanceFunction
+from repro.core.weights import DistanceFunction, square_distance
 from repro.errors import EmptyHypothesisSpaceError, LearningError
 from repro.trace.period import Period
 from repro.trace.trace import Trace
 
-try:  # pragma: no cover - numpy ships with the toolchain
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-
-# ---------------------------------------------------------------------------
-# Kernel registry
-
-#: Accepted kernel names: ``auto`` resolves per numpy availability.
-KERNEL_CHOICES = ("auto", "loop", "batch")
-
 #: Bits reserved for the insertion sequence in packed pool priorities.
 SEQ_BITS = 32
 
-
-def batch_available() -> bool:
-    """True when the batch backend can run (numpy importable)."""
-    return np is not None
+#: One carried hypothesis: ``(pair mask, period mask, weight)``.
+_Entry = tuple[int, int, int]
 
 
+# The frozen benchmark (perfbench/layers.py) is the only caller.
 def resolve_kernel(kernel: str = "auto") -> str:
-    """Resolve a kernel registry name to ``"loop"`` or ``"batch"``.
-
-    ``"auto"`` selects the batch backend exactly when numpy is
-    importable. Asking for ``"batch"`` without numpy is an error rather
-    than a silent downgrade.
-    """
-    if kernel not in KERNEL_CHOICES:
-        choices = ", ".join(KERNEL_CHOICES)
-        raise ValueError(f"unknown kernel {kernel!r}: choose from {choices}")
-    if kernel == "auto":
-        return "batch" if np is not None else "loop"
-    if kernel == "batch" and np is None:
-        raise LearningError(
-            "the batch kernel requires numpy, which is not importable; "
-            "select kernel='loop'"
-        )
-    return kernel
+    """The mask kernel's name: ``"batch"`` for ``"auto"`` or ``"batch"``."""
+    if kernel not in ("auto", "batch"):
+        raise ValueError(f"unknown kernel {kernel!r}: choose from auto, batch")
+    return "batch"
 
 
 # ---------------------------------------------------------------------------
-# Mask-column packing
+# Mask-column helpers
 
 @hot_loop
 def pack_masks(masks: Sequence[int], words: int):
@@ -129,154 +119,37 @@ def pack_masks(masks: Sequence[int], words: int):
 
 
 @hot_loop
-def unpack_masks(packed) -> list[int]:
-    """Inverse of :func:`pack_masks`: uint64 columns back to Python ints."""
-    out: list[int] = []
-    for row in packed.tolist():
-        mask = 0
-        for position, word in enumerate(row):
-            mask |= word << (64 * position)
-        out.append(mask)
-    return out
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """Keep only minimal pair masks under inclusion (scalar form).
 
-
-#: One-entry cache for :func:`_term_arrays`. The kernel object is held
-#: by strong reference, so its ``id`` cannot be recycled while cached;
-#: a hit additionally requires the certainty flags to compare equal to
-#: the cached snapshot. Per kernel instance the term tables are a pure
-#: function of those flags (the distance constants are fixed at
-#: construction), so flag equality implies table equality — a ``flip``
-#: or ``unflip`` between calls invalidates the cache exactly.
-_TERM_CACHE: dict = {}
-
-
-def _term_arrays(kernel: WeightKernel):
-    """The kernel's Definition 8 term tables as int64 numpy arrays.
-
-    Converting the term lists costs more than the vectorized math on a
-    typical per-message matrix, so the arrays (plus the pair-index /
-    shift / word vectors every bulk op re-derives from them) are cached
-    and rebuilt only when the kernel or its certainty flags change.
-    """
-    if (
-        _TERM_CACHE.get("kernel") is kernel
-        and _TERM_CACHE.get("certain") == kernel._certain
-    ):
-        return _TERM_CACHE["arrays"]
-    term_f = np.asarray(kernel._term_f)
-    term_b = np.asarray(kernel._term_b)
-    term_fb = np.asarray(kernel._term_fb)
-    if term_f.dtype.kind != "i":
-        raise LearningError(
-            "the batch kernel requires an integer-valued distance function"
-        )
-    mirror = np.asarray(kernel.table.mirror_index, dtype=np.int64)
-    index = np.arange(mirror.size, dtype=np.int64)
-    arrays = (
-        term_f.astype(np.int64),
-        term_b.astype(np.int64),
-        term_fb.astype(np.int64),
-        mirror,
-        index >> 6,
-        (index & 63).astype(np.uint64),
-    )
-    _TERM_CACHE.clear()
-    _TERM_CACHE.update(
-        kernel=kernel, certain=list(kernel._certain), arrays=arrays
-    )
-    return arrays
-
-
-# ---------------------------------------------------------------------------
-# Bulk kernel operations (canonical pair-index space)
-
-def batch_set_weights(kernel: WeightKernel, masks: Sequence[int]) -> list[int]:
-    """Definition 8 weights of many masks at once.
-
-    Bit-for-bit equal to ``[kernel.set_weight(m) for m in masks]``: the
-    per-term contribution is reproduced as a branch-free arithmetic
-    select over the whole ``(n, t^2)`` bit matrix — terms the mask does
-    not touch contribute zero, so summing over all ordered pairs equals
-    summing over the touched set.
-    """
-    term_f, term_b, term_fb, mirror, word, shift = _term_arrays(kernel)
-    pair_count = mirror.size
-    words = max(1, (pair_count + 63) >> 6)
-    packed = pack_masks(masks, words)
-    forward = ((packed[:, word] >> shift) & 1).astype(np.int64)
-    backward = forward[:, mirror]
-    contribution = forward * (
-        backward * term_fb + (1 - backward) * term_f
-    ) + (1 - forward) * backward * term_b
-    return contribution.sum(axis=1).tolist()
-
-
-def batch_union_deltas(
-    kernel: WeightKernel, bases: Sequence[int], others: Sequence[int]
-) -> list[int]:
-    """LUB-merge weight deltas for many ``(base, other)`` pairs at once.
-
-    ``union_delta(base, other)`` is by definition ``set_weight(base |
-    other) - set_weight(base)`` under fixed term tables, so the bulk form
-    is two vectorized weight evaluations and a subtraction.
-    """
-    unions = [base | other for base, other in zip(bases, others)]
-    union_weights = batch_set_weights(kernel, unions)
-    base_weights = batch_set_weights(kernel, bases)
-    return [u - b for u, b in zip(union_weights, base_weights)]
-
-
-def batch_extension_tables(
-    kernel: WeightKernel,
-    entries: Sequence[tuple[int, int, int]],
-    bits: Sequence[int],
-):
-    """Feasibility and child weights for every (hypothesis, candidate) cell.
-
-    *entries* are ``(mask, period_mask, weight)`` triples; *bits* the
-    message's candidate pair bits. Returns ``(feasible, child_weights)``
-    as ``(n, k)`` row lists matching the loop kernel's per-cell
-    ``period_mask & bit == 0`` test and
-    :meth:`~repro.core.interning.WeightKernel.extension_delta`.
-    """
-    term_f, term_b, term_fb, mirror_all, _word, _shift = _term_arrays(kernel)
-    pair_count = mirror_all.size
-    words = max(1, (pair_count + 63) >> 6)
-    masks = pack_masks([entry[0] for entry in entries], words)
-    period_masks = pack_masks([entry[1] for entry in entries], words)
-    weights = np.asarray([entry[2] for entry in entries], dtype=np.int64)
-    index = np.fromiter(
-        (bit.bit_length() - 1 for bit in bits), dtype=np.int64, count=len(bits)
-    )
-    mirror = mirror_all[index]
-    shift = (index & 63).astype(np.uint64)
-    mirror_shift = (mirror & 63).astype(np.uint64)
-    present = (masks[:, index >> 6] >> shift) & 1
-    mirrored = (masks[:, mirror >> 6] >> mirror_shift) & 1
-    feasible = ((period_masks[:, index >> 6] >> shift) & 1) == 0
-    delta_new = term_f[index] + term_b[mirror]
-    delta_mutual = (
-        term_fb[index] - term_b[index] + term_fb[mirror] - term_f[mirror]
-    )
-    delta = np.where(present == 1, 0, np.where(mirrored == 1, delta_mutual, delta_new))
-    child_weights = weights[:, None] + delta
-    return feasible.tolist(), child_weights.tolist()
-
-
-@hot_loop
-def batch_remove_redundant_masks(masks: Iterable[int]) -> list[int]:
-    """Keep only minimal pair masks under inclusion — block subset tests.
-
-    Same contract and output order as
-    :func:`repro.core.exact._remove_redundant_masks`; the quadratic
-    inner ``kept ⊆ candidate`` scan runs as one vectorized comparison
-    per candidate. Testing against *all* earlier masks (not only kept
-    minimal ones) is equivalent by transitivity of inclusion.
+    With shared statistics, pair-set inclusion coincides with the pointwise
+    dependency-function order, so deleting strict supersets is exactly the
+    paper's redundancy elimination. On masks, ``kept ⊂ candidate`` is the
+    subset test ``kept & candidate == kept`` (strictness is free: the
+    inputs are deduplicated first).
     """
     unique = set(masks)
     by_size = sorted(unique, key=lambda mask: mask.bit_count())
-    if np is None or len(by_size) <= 2:
-        return _remove_redundant_masks(by_size)
+    minimal: list[int] = []
+    for candidate in by_size:
+        if not any(kept & candidate == kept for kept in minimal):
+            minimal.append(candidate)
+    return minimal
+
+
+@hot_loop
+def remove_redundant_masks(masks: Iterable[int]) -> list[int]:
+    """Keep only minimal pair masks under inclusion — block subset tests.
+
+    Same contract and output order as :func:`_minimal_masks`; the
+    quadratic inner ``kept ⊆ candidate`` scan runs as one vectorized
+    comparison per candidate. Testing against *all* earlier masks (not
+    only kept minimal ones) is equivalent by transitivity of inclusion.
+    """
+    unique = set(masks)
+    by_size = sorted(unique, key=lambda mask: mask.bit_count())
+    if len(by_size) <= 2:
+        return _minimal_masks(by_size)
     width = max(mask.bit_length() for mask in by_size)
     words = max(1, (width + 63) >> 6)
     packed = pack_masks(by_size, words)
@@ -292,17 +165,29 @@ def batch_remove_redundant_masks(masks: Iterable[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Batch bounded learner
+# Bounded heuristic learner
 
-class BatchBoundedLearner(BoundedLearner):
-    """:class:`~repro.core.heuristic.BoundedLearner` on the batch backend.
+class BoundedLearner(MaskedLearner):
+    """Incremental heuristic learner with a hypothesis bound.
 
-    Same parameters, same results — bit for bit — different hot loop:
-    per message, child generation (feasibility + extension deltas for
-    every pool × candidate cell) is one set of numpy column ops, and the
-    merge cascade runs over combined single-int compact keys with an
-    eager sorted-list pool and an O(popcount) inline union delta. See
-    the module docstring for why each transformation is identity-safe.
+    Parameters
+    ----------
+    tasks:
+        The task universe ``T``.
+    bound:
+        Maximum number of hypotheses kept (paper's ``b``); must be >= 1.
+    tolerance:
+        Timing tolerance passed to candidate computation.
+    distance:
+        Per-value weight contribution (paper Definition 7 by default);
+        see :mod:`repro.core.weights` for alternatives and the
+        monotonicity requirement. Must return integers.
+    incremental_weights:
+        When True (the default), carried-over hypothesis weights are
+        refreshed per period by dirty-pair deltas instead of from-scratch
+        Definition 8 evaluation. The False setting re-derives every
+        weight each period — it exists as the differential-testing and
+        benchmarking baseline and learns bit-identical results.
     """
 
     def __init__(
@@ -313,12 +198,25 @@ class BatchBoundedLearner(BoundedLearner):
         distance: DistanceFunction = lattice.distance,
         incremental_weights: bool = True,
     ):
-        if np is None:
-            raise LearningError(
-                "the batch kernel requires numpy, which is not importable; "
-                "use BoundedLearner instead"
-            )
-        super().__init__(tasks, bound, tolerance, distance, incremental_weights)
+        if bound < 1:
+            raise ValueError(f"bound must be >= 1, got {bound}")
+        super().__init__(tasks, tolerance)
+        self.bound = bound
+        self.distance = distance
+        self._incremental = incremental_weights
+        # The default distance is what Hypothesis.weight reports, so only
+        # then may carried weights be primed into its memo.
+        self._prime_memo = incremental_weights and (
+            distance is lattice.distance or distance is square_distance
+        )
+        #: Carried Definition 8 weight per surviving pair mask. The empty
+        #: hypothesis weighs 0 under any statistics and distance.
+        self._weights: dict[int, int] = {0: 0}
+        self._merges = 0
+        #: Term table of the current statistics; (re)built lazily on the
+        #: first absorb and maintained by dirty-index flips afterwards.
+        self._kernel: WeightKernel | None = None
+        self._kernel_version = -1
         #: canonical bit value -> compact index (first-seen, append-only)
         self._compact_of: dict[int, int] = {}
         #: compact index -> canonical bit value / canonical pair index
@@ -328,6 +226,19 @@ class BatchBoundedLearner(BoundedLearner):
         self._field = 64       # compact field width == mask shift
         self._generation_cache: dict[tuple[int, ...], tuple] = {}
         self._term_epoch: object = None
+
+    # -- run state (the base class owns the all-or-nothing envelope) ----
+
+    def _save_run_state(self) -> object:
+        return (self._messages, self._peak, self._merges)
+
+    def _restore_run_state(self, state: object) -> None:
+        self._messages, self._peak, self._merges = state
+        # The rolled-back period's flips were undone in _absorb, so the
+        # kernel again matches the statistics content — resync the version
+        # marker (remove_period bumped it) so the next feed keeps the
+        # incremental flip path instead of rebuilding the table.
+        self._kernel_version = self.stats.version
 
     # -- compact pair interning ----------------------------------------
 
@@ -439,7 +350,7 @@ class BatchBoundedLearner(BoundedLearner):
         term_f_np = np.asarray(term_f)
         if term_f_np.dtype.kind != "i":
             raise LearningError(
-                "the batch kernel requires an integer-valued distance function"
+                "the mask kernel requires an integer-valued distance function"
             )
         self._term_f_np = term_f_np.astype(np.int64)
         self._term_b_np = np.asarray(term_b, dtype=np.int64)
@@ -492,7 +403,124 @@ class BatchBoundedLearner(BoundedLearner):
             self._generation_cache[bits] = entry
         return entry
 
-    # -- the cascaded message step over combined compact keys ----------
+    # -- the per-period step -------------------------------------------
+
+    @hot_loop
+    def _absorb(
+        self, period: Period, dirty: frozenset[tuple[str, str]], mark: float
+    ) -> list[_Entry]:
+        counters = self._counters
+        table = self.table
+        dirty_indices = table.indices_of(dirty)
+        version = self.stats.version
+        if self._kernel is None or self._kernel_version != version - 1:
+            # Fresh or drifted statistics (construction, checkpoint
+            # restore, shard merge): rebuild the term table outright. The
+            # post-add statistics already carry this period's flips.
+            self._kernel = WeightKernel(table, self.stats, self.distance)
+        elif dirty_indices:
+            self._kernel.flip(dirty_indices)
+        self._kernel_version = version
+        try:
+            entries = self._refresh_weights(dirty_indices)
+            now = time.perf_counter()
+            counters.refresh_seconds += now - mark
+            mark = now
+            history: list[tuple[int, ...]] = []
+            centries: list[tuple[int, int]] | None = None
+            for message in period.messages:
+                pairs = candidate_pairs(period, message, self.tolerance)
+                if not pairs:
+                    raise EmptyHypothesisSpaceError(self._periods)
+                counters.observe_candidates(len(pairs))
+                bits = table.bits_of(pairs)
+                field_before = self._field
+                grew = self._intern_bits(bits)
+                if centries is None:
+                    # First message: the carried masks may hold bits that
+                    # never crossed a candidate set (checkpoint restore),
+                    # so intern them before fixing this message's layout.
+                    for mask, _period_mask, _weight in entries:
+                        self._intern_mask_bits(mask)
+                    need = max(1, (len(self._canonical_bit) + 63) >> 6)
+                    if need != self._words:
+                        self._words = need
+                        self._field = 64 * need
+                        grew = True
+                    field = self._field
+                    centries = [
+                        (
+                            (self._encode_mask(mask) << field)
+                            | self._encode_mask(period_mask),
+                            weight,
+                        )
+                        for mask, period_mask, weight in entries
+                    ]
+                elif grew:
+                    counters.batch_relayouts += 1
+                    field = self._field
+                    low = (1 << field_before) - 1
+                    centries = [
+                        (
+                            ((key >> field_before) << field) | (key & low),
+                            weight,
+                        )
+                        for key, weight in centries
+                    ]
+                self._refresh_terms()
+                history.append(bits)
+                centries = self._process_combined(centries, bits, history)
+                self._messages += 1
+                self._peak = max(self._peak, len(centries))
+            counters.process_seconds += time.perf_counter() - mark
+            if centries is None:
+                # Message-free period: the refreshed entries carry through.
+                return entries
+            field = self._field
+            low = (1 << field) - 1
+            return [
+                (
+                    self._decode_compact(key >> field),
+                    self._decode_compact(key & low),
+                    weight,
+                )
+                for key, weight in centries
+            ]
+        except Exception:
+            # Keep the term table consistent with the statistics rollback
+            # the feed envelope is about to perform.
+            self._kernel.unflip(dirty_indices)
+            raise
+
+    @hot_loop
+    def _refresh_weights(self, dirty_indices: Sequence[int]) -> list[_Entry]:
+        """Bring carried hypothesis weights up to date with the new period.
+
+        A carried weight is stale only in the terms of dirty indices the
+        mask touches, each a constant-time delta. From-scratch evaluation
+        remains as the fallback for masks without a carried weight (after
+        a checkpoint resume) and as the whole refresh when incremental
+        maintenance is disabled.
+        """
+        counters = self._counters
+        kernel = self._kernel
+        assert kernel is not None
+        flip_delta = kernel.flip_delta
+        weights = self._weights if self._incremental else None
+        entries: list[_Entry] = []
+        for mask in self._masks:
+            carried = weights.get(mask) if weights is not None else None
+            if carried is None:
+                weight = kernel.set_weight(mask)
+                counters.weight_refresh_scratch += 1
+                counters.weight_scratch_calls += 1
+            else:
+                weight = carried
+                for index in dirty_indices:
+                    weight += flip_delta(mask, index)
+                counters.weight_refresh_incremental += 1
+            entries.append((mask, 0, weight))
+        return entries
 
     @hot_loop
     def _process_combined(
@@ -501,12 +529,12 @@ class BatchBoundedLearner(BoundedLearner):
         bits: tuple[int, ...],
         history: Sequence[tuple[int, ...]],
     ) -> list[tuple[int, int]]:
-        """One generalization step on combined compact keys.
+        """One generalization step: extend every hypothesis, keep <= bound.
 
         Child generation is vectorized over the whole pool × candidate
         matrix; the bound cascade consumes the rows in canonical order
-        through an eager sorted-list pool, so insertion, dedup and merge
-        order all match the loop kernel exactly.
+        through the sorted-list pool, merging the two lightest entries
+        whenever the pool exceeds the bound.
         """
         counters = self._counters
         count = len(centries)
@@ -612,9 +640,11 @@ class BatchBoundedLearner(BoundedLearner):
                             (-(merged_weight << SEQ_BITS) - sequence, merged),
                         )
             if not any_feasible:
-                # Merged-lineage repair runs in canonical space: the
-                # backtracking sorts candidate *bit values*, and compact
-                # values would explore a different order.
+                # Merged-lineage corner case: the inherited assignment
+                # claims every candidate of this message. The repair runs
+                # in canonical space: the backtracking sorts candidate
+                # *bit values*, and compact values would explore a
+                # different order.
                 canonical_mask = self._decode_compact(key_base >> field)
                 repaired = self._reassign_period(canonical_mask, history)
                 counters.reassignments += 1
@@ -668,107 +698,129 @@ class BatchBoundedLearner(BoundedLearner):
             raise EmptyHypothesisSpaceError(self._periods)
         return list(pool.items())
 
-    # -- absorb override: combined keys across the message loop --------
+    @staticmethod
+    @hot_loop
+    def _reassign_period(
+        mask: int, history: Sequence[Sequence[int]]
+    ) -> tuple[int, int] | None:
+        """Find a fresh distinct assignment of the period's messages.
+
+        Candidate bits already assumed by the hypothesis are preferred so
+        the repair generalizes as little as possible. Returns the repaired
+        ``(mask, period_mask)`` or None when no assignment exists (the
+        pool's other lineages may still survive). Bit order is index
+        order is lexicographic pair order, so the backtracking explores
+        assignments exactly as the string reference does.
+        """
+        options = sorted(
+            (
+                sorted(bits, key=lambda bit: not mask & bit),
+                index,
+            )
+            for index, bits in enumerate(history)
+        )
+        # Most-constrained message first.
+        options.sort(key=lambda item: len(item[0]))
+        used = 0
+
+        def backtrack(position: int) -> bool:
+            nonlocal used
+            if position == len(options):
+                return True
+            for bit in options[position][0]:
+                if used & bit:
+                    continue
+                used |= bit
+                if backtrack(position + 1):
+                    return True
+                used &= ~bit
+            return False
+
+        if not backtrack(0):
+            return None
+        # Also generalize by the current message's full candidate set (the
+        # last history entry): an unbounded run would have spawned one
+        # extension per candidate, and their LUB contributes all of them.
+        # Keeping that contribution preserves the paper's Lemma — the LUB
+        # of the bounded output stays equal to the bound-1 hypothesis.
+        current = 0
+        for bit in history[-1]:
+            current |= bit
+        return mask | used | current, used
 
     @hot_loop
-    def _absorb(
-        self, period: Period, dirty: frozenset[tuple[str, str]], mark: float
-    ):
-        counters = self._counters
-        table = self.table
-        dirty_indices = table.indices_of(dirty)
+    def _finish_period(self, pending: list[_Entry], dirty: frozenset[tuple[str, str]]) -> None:
+        # Drop assumptions and unify equal pair sets. Unlike the exact
+        # algorithm, the heuristic keeps dominated hypotheses: deleting a
+        # strict generalization can remove pairs from the working list's
+        # union that the bound-1 run retains, which would falsify the
+        # paper's Lemma (⊔D*(b) = d*(1)). The union of kept pair sets is
+        # invariant under extension, merging and equality-unification —
+        # redundancy deletion is the only operation that could break it.
+        by_mask: dict[int, int] = {}
+        for mask, _period_mask, weight in pending:
+            by_mask[mask] = weight
+        self._masks = list(by_mask)
+        self._decoded = None
+        if self._incremental:
+            self._weights = by_mask
+
+    # Boundary code: primes decoded Hypothesis objects, not the mask pool.
+    # repro-lint: ignore[RL002]
+    def _prime_decoded(self, decoded: list[Hypothesis]) -> None:
+        # Decoding happens at the boundary (result(), checkpoints,
+        # sharding); seed the Hypothesis.weight memo with the carried
+        # Definition 8 weights so the result sort never recomputes them.
+        if not self._prime_memo:
+            return
         version = self.stats.version
-        if self._kernel is None or self._kernel_version != version - 1:
-            self._kernel = WeightKernel(table, self.stats, self.distance)
-        elif dirty_indices:
-            self._kernel.flip(dirty_indices)
-        self._kernel_version = version
-        try:
-            entries = self._refresh_weights(dirty_indices)
-            now = time.perf_counter()
-            counters.refresh_seconds += now - mark
-            mark = now
-            history: list[tuple[int, ...]] = []
-            centries: list[tuple[int, int]] | None = None
-            for message in period.messages:
-                pairs = candidate_pairs(period, message, self.tolerance)
-                if not pairs:
-                    raise EmptyHypothesisSpaceError(self._periods)
-                counters.observe_candidates(len(pairs))
-                bits = table.bits_of(pairs)
-                field_before = self._field
-                grew = self._intern_bits(bits)
-                if centries is None:
-                    # First message: the carried masks may hold bits that
-                    # never crossed a candidate set (checkpoint restore),
-                    # so intern them before fixing this message's layout.
-                    for mask, _period_mask, _weight in entries:
-                        self._intern_mask_bits(mask)
-                    need = max(1, (len(self._canonical_bit) + 63) >> 6)
-                    if need != self._words:
-                        self._words = need
-                        self._field = 64 * need
-                        grew = True
-                    field = self._field
-                    centries = [
-                        (
-                            (self._encode_mask(mask) << field)
-                            | self._encode_mask(period_mask),
-                            weight,
-                        )
-                        for mask, period_mask, weight in entries
-                    ]
-                elif grew:
-                    counters.batch_relayouts += 1
-                    field = self._field
-                    low = (1 << field_before) - 1
-                    centries = [
-                        (
-                            ((key >> field_before) << field) | (key & low),
-                            weight,
-                        )
-                        for key, weight in centries
-                    ]
-                self._refresh_terms()
-                history.append(bits)
-                centries = self._process_combined(centries, bits, history)
-                self._messages += 1
-                self._peak = max(self._peak, len(centries))
-            counters.process_seconds += time.perf_counter() - mark
-            if centries is None:
-                # Message-free period: nothing was combined, the refreshed
-                # entries carry through unchanged (same as the loop path).
-                return entries
-            field = self._field
-            low = (1 << field) - 1
-            return [
-                (
-                    self._decode_compact(key >> field),
-                    self._decode_compact(key & low),
-                    weight,
-                )
-                for key, weight in centries
-            ]
-        except Exception:
-            self._kernel.unflip(dirty_indices)
-            raise
+        weights = self._weights
+        for hypothesis, mask in zip(decoded, self._masks):
+            weight = weights.get(mask)
+            if weight is not None:
+                hypothesis.prime_weight(version, weight)
 
     def result(self) -> LearningResult:
-        result = super().result()
-        result.kernel = "batch"
-        return result
+        """The current hypothesis list as a result object."""
+        ordered = sorted(
+            self._hypotheses,
+            key=lambda h: (h.weight(self.stats), sorted(h.pairs)),
+        )
+        return LearningResult(
+            functions=[h.to_function(self.stats) for h in ordered],
+            hypotheses=ordered,
+            stats=self.stats,
+            algorithm="heuristic",
+            bound=self.bound,
+            periods=self._periods,
+            messages=self._messages,
+            peak_hypotheses=self._peak,
+            elapsed_seconds=self._elapsed,
+            merge_count=self._merges,
+            hot_loop=self._counters.copy(),
+        )
 
 
 # ---------------------------------------------------------------------------
-# Batch exact learner
+# Exact learner
 
-class BatchExactLearner(ExactLearner):
-    """:class:`~repro.core.exact.ExactLearner` on the batch backend.
+class ExactLearner(MaskedLearner):
+    """Incremental exact learner over a fixed task universe.
 
-    Feasibility of every (hypothesis, candidate) cell is one bulk
-    bitwise test over packed period-mask columns, and the end-of-period
-    superset elimination runs as block subset comparisons. Extension
-    itself stays a dict build (the dedup order *is* the algorithm).
+    Feed periods one at a time with :meth:`feed` (all-or-nothing, see
+    :class:`~repro.core.base.IncrementalLearner`); read the current
+    most-specific set at any point with :meth:`result`.
+
+    Parameters
+    ----------
+    tasks:
+        The task universe ``T``.
+    tolerance:
+        Timing tolerance passed to candidate computation.
+    max_hypotheses:
+        Safety valve: abort with :class:`~repro.errors.LearningError` if the
+        working set exceeds this size (the exact algorithm is exponential;
+        runaway inputs are better stopped than swapped to death).
     """
 
     def __init__(
@@ -777,12 +829,14 @@ class BatchExactLearner(ExactLearner):
         tolerance: float = 0.0,
         max_hypotheses: int = 2_000_000,
     ):
-        if np is None:
-            raise LearningError(
-                "the batch kernel requires numpy, which is not importable; "
-                "use ExactLearner instead"
-            )
-        super().__init__(tasks, tolerance, max_hypotheses)
+        super().__init__(tasks, tolerance)
+        self.max_hypotheses = max_hypotheses
+
+    def _save_run_state(self) -> object:
+        return (self._messages, self._peak)
+
+    def _restore_run_state(self, state: object) -> None:
+        self._messages, self._peak = state
 
     @hot_loop
     def _absorb(
@@ -836,56 +890,65 @@ class BatchExactLearner(ExactLearner):
         pending: Sequence[tuple[int, int]],
         dirty: frozenset[tuple[str, str]],
     ) -> None:
-        self._masks = batch_remove_redundant_masks(
+        # Drop assumptions, unify, remove redundant.
+        self._masks = remove_redundant_masks(
             mask for mask, _period_mask in pending
         )
         self._decoded = None
 
     def result(self) -> LearningResult:
-        result = super().result()
-        result.kernel = "batch"
-        return result
+        """The current most-specific hypothesis set as a result object."""
+        ordered = sorted(
+            self._hypotheses,
+            key=lambda h: (h.weight(self.stats), sorted(h.pairs)),
+        )
+        return LearningResult(
+            functions=[h.to_function(self.stats) for h in ordered],
+            hypotheses=ordered,
+            stats=self.stats,
+            algorithm="exact",
+            bound=None,
+            periods=self._periods,
+            messages=self._messages,
+            peak_hypotheses=self._peak,
+            elapsed_seconds=self._elapsed,
+            hot_loop=self._counters.copy(),
+        )
 
 
 # ---------------------------------------------------------------------------
-# Convenience drivers (mirror heuristic.learn_bounded / exact.learn_exact)
+# Whole-trace drivers
 
-def learn_bounded_batch(
+def learn_bounded(
     trace: Trace,
     bound: int,
     tolerance: float = 0.0,
     distance: DistanceFunction = lattice.distance,
 ) -> LearningResult:
-    """Run the bounded heuristic on the batch kernel over a trace."""
-    learner = BatchBoundedLearner(trace.tasks, bound, tolerance, distance)
+    """Run the bounded heuristic over a complete trace."""
+    learner = BoundedLearner(trace.tasks, bound, tolerance, distance)
     learner.feed_trace(trace)
     return learner.result()
 
 
-def learn_exact_batch(
+def learn_exact(
     trace: Trace,
     tolerance: float = 0.0,
     max_hypotheses: int = 2_000_000,
 ) -> LearningResult:
-    """Run the exact algorithm on the batch kernel over a trace."""
-    learner = BatchExactLearner(trace.tasks, tolerance, max_hypotheses)
+    """Run the exact algorithm over a complete trace."""
+    learner = ExactLearner(trace.tasks, tolerance, max_hypotheses)
     learner.feed_trace(trace)
     return learner.result()
 
 
 __all__ = [
-    "KERNEL_CHOICES",
     "SEQ_BITS",
-    "batch_available",
     "resolve_kernel",
     "pack_masks",
-    "unpack_masks",
-    "batch_set_weights",
-    "batch_union_deltas",
-    "batch_extension_tables",
-    "batch_remove_redundant_masks",
-    "BatchBoundedLearner",
-    "BatchExactLearner",
-    "learn_bounded_batch",
-    "learn_exact_batch",
+    "remove_redundant_masks",
+    "BoundedLearner",
+    "ExactLearner",
+    "learn_bounded",
+    "learn_exact",
 ]

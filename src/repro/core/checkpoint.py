@@ -23,8 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.exact import ExactLearner
-from repro.core.heuristic import BoundedLearner
+from repro.core.batch import BoundedLearner, ExactLearner, resolve_kernel
 from repro.core.stats import CoExecutionStats
 from repro.errors import LearningError
 
@@ -109,17 +108,17 @@ def checkpoint_to_dict(
 
 def checkpoint_from_dict(
     data: dict[str, Any],
-    kernel: str = "loop",
+    kernel: str = "auto",
 ) -> BoundedLearner | ExactLearner:
     """Rebuild a learner from its checkpoint dictionary.
 
-    *kernel* selects the mask-kernel backend of the resumed learner
-    (``"loop"`` or ``"batch"`` — resolve ``"auto"`` with
-    :func:`repro.core.batch.resolve_kernel` first). The checkpoint
-    format itself is kernel-agnostic: both backends save and restore
-    byte-identical JSON, so a run may checkpoint under one kernel and
-    resume under the other.
+    *kernel* is validated through
+    :func:`~repro.core.batch.resolve_kernel` and has no other effect:
+    there is one mask kernel.
     """
+    # The frozen benchmark (perfbench/layers.py) is the only caller that
+    # passes kernel=.
+    resolve_kernel(kernel)
     if data.get("format") != FORMAT_NAME:
         raise LearningError(
             f"unexpected checkpoint format: {data.get('format')!r}"
@@ -130,20 +129,14 @@ def checkpoint_from_dict(
         )
     stats = _stats_from_dict(data["stats"])
     kind = data.get("kind")
-    if kernel == "batch":
-        from repro.core.batch import BatchBoundedLearner, BatchExactLearner
-
-        bounded_cls, exact_cls = BatchBoundedLearner, BatchExactLearner
-    else:
-        bounded_cls, exact_cls = BoundedLearner, ExactLearner
     learner: BoundedLearner | ExactLearner
     if kind == "bounded":
-        learner = bounded_cls(
+        learner = BoundedLearner(
             stats.tasks, int(data["bound"]), float(data["tolerance"])
         )
         learner._merges = int(data.get("merges", 0))
     elif kind == "exact":
-        learner = exact_cls(
+        learner = ExactLearner(
             stats.tasks,
             float(data["tolerance"]),
             int(data.get("max_hypotheses", 2_000_000)),
@@ -176,13 +169,11 @@ def save_checkpoint(
         json.dump(checkpoint_to_dict(learner), stream)
 
 
-def load_checkpoint(
-    path: str, kernel: str = "loop"
-) -> BoundedLearner | ExactLearner:
+def load_checkpoint(path: str) -> BoundedLearner | ExactLearner:
     """Rebuild a learner from the checkpoint at *path*."""
     with open(path, "r", encoding="utf-8") as stream:
         try:
             data = json.load(stream)
         except json.JSONDecodeError as error:
             raise LearningError(f"invalid checkpoint JSON: {error}") from error
-    return checkpoint_from_dict(data, kernel=kernel)
+    return checkpoint_from_dict(data)

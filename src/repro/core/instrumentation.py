@@ -94,7 +94,7 @@ class HotLoopCounters:
     degraded_shards:
         Shards learned by the in-process sequential fallback.
     batch_messages:
-        Messages whose child generation ran through the batch kernel's
+        Messages whose child generation ran through the mask kernel's
         vectorized pool × candidate step (:mod:`repro.core.batch`).
     batch_children:
         Child hypotheses produced in bulk by those steps (feasible

@@ -143,7 +143,7 @@ class ReferenceBoundedLearner(IncrementalLearner):
     """The pre-kernel bounded heuristic, kept as a differential baseline.
 
     Same algorithm, parameters and output as
-    :class:`~repro.core.heuristic.BoundedLearner`; the working list holds
+    :class:`~repro.core.batch.BoundedLearner`; the working list holds
     :class:`~repro.core.hypothesis.Hypothesis` objects and every hot-loop
     operation goes through string-tuple frozensets.
     """

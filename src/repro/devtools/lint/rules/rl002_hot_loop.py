@@ -7,8 +7,7 @@ formatting. That property is marked in source with the
 and enforced here in two parts:
 
 **Coverage** — in the kernel modules (``repro.core.interning``,
-``heuristic``, ``exact``, ``sharded``, ``batch``) every module-level function or
-method that contains a ``for``/``while`` statement (including in nested
+``batch``, ``sharded``) every module-level function or method that contains a ``for``/``while`` statement (including in nested
 defs) must either carry ``@hot_loop`` or a per-line suppression; the
 suppression is the explicit record that a loop is boundary code
 (decode, coordination) rather than kernel code.
@@ -43,10 +42,8 @@ from repro.devtools.lint.registry import (
 KERNEL_MODULES = frozenset(
     {
         "repro.core.interning",
-        "repro.core.heuristic",
-        "repro.core.exact",
-        "repro.core.sharded",
         "repro.core.batch",
+        "repro.core.sharded",
     }
 )
 

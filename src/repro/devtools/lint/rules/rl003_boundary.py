@@ -15,12 +15,7 @@ Outside ``repro.core`` (and ``repro.devtools`` itself) the rule flags:
 * referencing the ``PairSet``, ``TaskTable`` or ``WeightKernel`` names;
 * touching mask internals: the ``.mask`` / ``.pairs_mask`` attributes
   or the ``pair_bit`` / ``pair_index`` / ``mask_of`` / ``bits_of`` /
-  ``indices_of`` / ``iter_indices`` / ``mirror_mask`` accessors;
-* the batch kernel's bulk mask operations (``pack_masks``,
-  ``batch_set_weights``, …) — the array-of-masks layout of
-  :mod:`repro.core.batch` is as internal as the bitmask ints it packs.
-  Select the backend through the string registry instead
-  (``learn_dependencies(..., kernel="batch")``).
+  ``indices_of`` / ``iter_indices`` / ``mirror_mask`` accessors.
 """
 
 from __future__ import annotations
@@ -35,19 +30,6 @@ KERNEL_MODULE = "repro.core.interning"
 
 #: Class names that are kernel-internal.
 KERNEL_NAMES = frozenset({"PairSet", "TaskTable", "WeightKernel"})
-
-#: Bulk mask operations of the batch kernel (repro.core.batch): the
-#: packed uint64 mask-column layout must not leak past the boundary.
-BATCH_KERNEL_NAMES = frozenset(
-    {
-        "pack_masks",
-        "unpack_masks",
-        "batch_set_weights",
-        "batch_union_deltas",
-        "batch_extension_tables",
-        "batch_remove_redundant_masks",
-    }
-)
 
 #: Attribute touches that expose mask internals.
 KERNEL_ATTRIBUTES = frozenset(
@@ -110,14 +92,6 @@ class BoundaryRule(Rule):
                     f"'{node.id}' is kernel-internal; modules outside "
                     "repro.core must stay on the string pair API",
                 )
-            elif isinstance(node, ast.Name) and node.id in BATCH_KERNEL_NAMES:
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"'{node.id}' is a batch-kernel bulk op; select the "
-                    "backend via the kernel registry "
-                    "(learn_dependencies(..., kernel=...)) instead",
-                )
             elif isinstance(node, ast.Attribute):
                 if node.attr in KERNEL_ATTRIBUTES:
                     yield ctx.finding(
@@ -132,5 +106,4 @@ __all__ = [
     "BoundaryRule",
     "KERNEL_ATTRIBUTES",
     "KERNEL_NAMES",
-    "BATCH_KERNEL_NAMES",
 ]

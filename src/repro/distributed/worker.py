@@ -6,7 +6,9 @@ is the whole fault story: a chaos ``crash`` (or a real OOM kill) takes
 out a pool child, not the daemon — the daemon catches the broken pool,
 rebuilds it, and reports the task as failed so the coordinator's
 runtime charges the attempt and retries. The daemon itself only dies
-when told to (a ``shutdown`` frame) or killed from outside.
+when told to (a ``shutdown`` frame) or killed from outside. SIGTERM
+counts as being told to: it unwinds through the same teardown, so the
+local pool's children die with the daemon instead of outliving it.
 
 Connection lifecycle is a retry loop: connect, handshake (send
 ``hello``, expect ``welcome``), serve frames until the socket drops,
@@ -28,6 +30,7 @@ into the task frame.
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import threading
 import time
@@ -251,6 +254,28 @@ def _serve_connection(
         session.factory.teardown(session.pool)
 
 
+def _install_sigterm_exit():
+    """Make SIGTERM unwind the daemon through its ``finally`` blocks.
+
+    Returns the previous handler. Forked pool children inherit the new
+    handler; they must die the plain SIGTERM way, because a
+    ``SystemExit`` raised inside a running task would be reported as the
+    task's result and the child would live on.
+    """
+    owner = os.getpid()
+
+    def exit_daemon(signum, frame) -> None:
+        if os.getpid() != owner:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        # A second SIGTERM must not interrupt the teardown the first began.
+        signal.signal(signum, signal.SIG_IGN)
+        raise SystemExit(128 + signum)
+
+    return signal.signal(signal.SIGTERM, exit_daemon)
+
+
 def serve_worker(
     address: str,
     *,
@@ -268,6 +293,9 @@ def serve_worker(
     refusal (no retry — a wrong store will not fix itself), 1 when the
     connection budget runs out.
 
+    Run in the main thread, SIGTERM makes it exit with code 143 through
+    the same teardown, terminating the local pool's worker processes.
+
     On the way out the daemon closes every cached ``.rts`` store handle
     (:func:`repro.trace.store.close_all_stores`): sessions come and go
     over a long daemon life, and unpickling store-backed period ranges
@@ -277,6 +305,9 @@ def serve_worker(
     host, port = parse_address(address)
     worker_name = name or f"{socket.gethostname()}-{os.getpid()}"
     connects = 0
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = _install_sigterm_exit()
     try:
         while max_connects is None or connects < max_connects:
             connects += 1
@@ -305,6 +336,8 @@ def serve_worker(
         return 1
     finally:
         close_all_stores()
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 __all__ = ["RECONNECT_DELAY", "serve_worker"]

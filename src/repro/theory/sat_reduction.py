@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.exact import learn_exact
+from repro.core.batch import learn_exact
 from repro.trace.synthetic import build_trace
 
 Clause = frozenset[str]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.candidates import candidate_pairs
 from repro.core.depfunc import DependencyFunction
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.hypothesis import Hypothesis, Pair
 from repro.core.matching import matches_trace
 from repro.core.result import LearningResult

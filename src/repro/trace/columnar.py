@@ -35,10 +35,7 @@ from array import array
 from collections.abc import Sequence
 from typing import Iterable, Iterator
 
-try:  # numpy accelerates segmentation and bulk encoding; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.errors import TraceError
 from repro.trace.events import Event, EventKind
@@ -282,9 +279,9 @@ class ColumnarPeriods(LazyPeriods):
         hi = self._offsets[self._stop]
         rise = CODE_BY_KIND[EventKind.MSG_RISE]
         kinds = self._kinds
-        if _np is not None and hi - lo > 1024:
-            chunk = _np.frombuffer(
-                bytes(memoryview(kinds)[lo:hi]), dtype=_np.uint8
+        if hi - lo > 1024:
+            chunk = np.frombuffer(
+                bytes(memoryview(kinds)[lo:hi]), dtype=np.uint8
             )
             return int((chunk == rise).sum())
         return sum(1 for k in range(lo, hi) if kinds[k] == rise)
@@ -398,40 +395,19 @@ def segment_offsets(times, period_length: float) -> tuple[int, array]:
     """
     if period_length <= 0:
         raise TraceError("period_length must be positive")
-    count = len(times)
-    if count == 0:
+    if len(times) == 0:
         return 0, array("Q", [0])
-    if _np is not None:
-        stamps = _np.asarray(times, dtype=_np.float64)
-        if stamps.size > 1 and bool((_np.diff(stamps) < 0).any()):
-            raise TraceError(
-                "columnar segmentation requires time-ordered events"
-            )
-        buckets = _np.floor_divide(stamps, float(period_length)).astype(
-            _np.int64
+    stamps = np.asarray(times, dtype=np.float64)
+    if stamps.size > 1 and bool((np.diff(stamps) < 0).any()):
+        raise TraceError(
+            "columnar segmentation requires time-ordered events"
         )
-        first = int(buckets[0])
-        last = int(buckets[-1])
-        counts = _np.bincount(buckets - first, minlength=last - first + 1)
-        offsets = array("Q", [0])
-        offsets.frombytes(_np.cumsum(counts).astype(_np.uint64).tobytes())
-        return first, offsets
-    first = int(times[0] // period_length)
+    buckets = np.floor_divide(stamps, float(period_length)).astype(np.int64)
+    first = int(buckets[0])
+    last = int(buckets[-1])
+    counts = np.bincount(buckets - first, minlength=last - first + 1)
     offsets = array("Q", [0])
-    bucket = first
-    previous = times[0]
-    for position in range(count):
-        stamp = times[position]
-        if stamp < previous:
-            raise TraceError(
-                "columnar segmentation requires time-ordered events"
-            )
-        previous = stamp
-        target = int(stamp // period_length)
-        while bucket < target:
-            offsets.append(position)
-            bucket += 1
-    offsets.append(count)
+    offsets.frombytes(np.cumsum(counts).astype(np.uint64).tobytes())
     return first, offsets
 
 

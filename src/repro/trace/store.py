@@ -43,7 +43,7 @@ import struct
 import sys
 import tempfile
 from array import array
-from typing import IO, Iterable, Iterator, Sequence, TextIO
+from typing import IO, Iterable, Iterator, TextIO
 
 from repro.errors import ReproError, TraceError
 from repro.trace.columnar import (
@@ -87,6 +87,66 @@ def _tobytes_le(buffer: array) -> bytes:
     swapped = array(buffer.typecode, buffer)  # pragma: no cover - BE host
     swapped.byteswap()  # pragma: no cover - BE host
     return swapped.tobytes()  # pragma: no cover - BE host
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(path: str, raw: bytes) -> dict:
+    """Decode and validate a store's JSON header; :class:`TraceError` if bad.
+
+    Every field a reader indexes is checked here, so a corrupt or hostile
+    header fails at open with a message rather than later with a bare
+    ``KeyError`` — or, for a negative column offset, by silently reading
+    header bytes as column data.
+    """
+    try:
+        header = json.loads(raw)
+    except (ValueError, RecursionError) as error:  # bad UTF-8, JSON or nesting
+        raise TraceError(f"{path}: store header is not JSON: {error}") from None
+    if not isinstance(header, dict):
+        raise TraceError(f"{path}: store header is not a JSON object")
+    if header.get("version") != VERSION:
+        raise TraceError(
+            f"{path}: unsupported store version {header.get('version')!r}"
+        )
+    for key in ("tasks", "subjects", "observed_tasks"):
+        value = header.get(key)
+        if not isinstance(value, list) or not all(
+            isinstance(item, str) for item in value
+        ):
+            raise TraceError(f"{path}: store header {key!r} must be a list of strings")
+    for key in ("periods", "events", "messages"):
+        if not _is_count(header.get(key)):
+            raise TraceError(
+                f"{path}: store header {key!r} must be a non-negative int"
+            )
+    columns = header.get("columns")
+    if not isinstance(columns, dict):
+        raise TraceError(f"{path}: store header 'columns' must be an object")
+    expected = {
+        "times": header["events"],
+        "kinds": header["events"],
+        "subjects": header["events"],
+        "offsets": header["periods"] + 1,
+    }
+    for name, _size in COLUMN_LAYOUT:
+        entry = columns.get(name)
+        if not (
+            isinstance(entry, list) and len(entry) == 2
+            and all(_is_count(value) for value in entry)
+        ):
+            raise TraceError(
+                f"{path}: store column {name!r} must be a pair of "
+                "non-negative ints [offset, count]"
+            )
+        if entry[1] != expected[name]:
+            raise TraceError(
+                f"{path}: store column {name!r} holds {entry[1]} entries, "
+                f"the header counts need {expected[name]}"
+            )
+    return header
 
 
 class TraceStoreWriter:
@@ -325,12 +385,9 @@ class TraceStore:
         (header_len,) = struct.unpack("<Q", view[8:16])
         if 16 + header_len > len(view):
             raise TraceError(f"{self._path}: truncated store header")
-        self.header: dict = json.loads(bytes(view[16:16 + header_len]))
-        if self.header.get("version") != VERSION:
-            raise TraceError(
-                f"{self._path}: unsupported store version "
-                f"{self.header.get('version')!r}"
-            )
+        self.header: dict = _check_header(
+            self._path, bytes(view[16:16 + header_len])
+        )
         self.tasks: tuple[str, ...] = tuple(self.header["tasks"])
         self._table: tuple[str, ...] = tuple(self.header["subjects"])
         data_start = _align8(16 + header_len)

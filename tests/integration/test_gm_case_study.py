@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.classify import is_conjunction, is_disjunction
 from repro.analysis.latency import compare_path_latency
 from repro.analysis.reachability import compare_state_spaces
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.matching import matches_trace
 from repro.trace.validate import Severity, validate_trace
 

@@ -12,7 +12,7 @@ from repro.analysis.convergence import learning_curve
 from repro.analysis.drift import DriftMonitor
 from repro.analysis.holistic import analyze as holistic_analyze
 from repro.analysis.modes import extract_modes
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.negative import ForbiddenBehavior, VersionSpace, rejects
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.systems.random_gen import RandomDesignConfig, random_design

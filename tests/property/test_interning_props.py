@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checkpoint import checkpoint_from_dict, checkpoint_to_dict
-from repro.core.exact import ExactLearner, learn_exact
-from repro.core.heuristic import BoundedLearner, learn_bounded
+from repro.core.batch import (
+    BoundedLearner,
+    ExactLearner,
+    learn_bounded,
+    learn_exact,
+)
 from repro.core.interning import WeightKernel
 from repro.core.reference import (
     learn_bounded_reference,

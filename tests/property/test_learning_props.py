@@ -8,8 +8,7 @@ every one of them.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.exact import learn_exact
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded, learn_exact
 from repro.core.hypothesis import Hypothesis
 from repro.core.matching import matches_trace
 from repro.core.stats import CoExecutionStats

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import candidate_pairs
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.matching import (
     allowed_pairs,
     find_explanation,

@@ -21,7 +21,7 @@ order-free fold is why chaos cannot change the learned model.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.matching import matches_trace
 from repro.core.sharded import learn_shard, merge_outcomes, split_periods
 from repro.distributed import ResultLedger, decode_frame, encode_frame

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.report import dumps_model, loads_model
 from repro.core.checkpoint import checkpoint_from_dict, checkpoint_to_dict
-from repro.core.heuristic import BoundedLearner, learn_bounded
+from repro.core.batch import BoundedLearner, learn_bounded
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.systems.random_gen import RandomDesignConfig, random_design
 from repro.systems.specio import dumps_design, loads_design

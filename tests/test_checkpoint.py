@@ -8,8 +8,7 @@ from repro.core.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.core.exact import ExactLearner
-from repro.core.heuristic import BoundedLearner
+from repro.core.batch import BoundedLearner, ExactLearner
 from repro.errors import LearningError
 from repro.trace.synthetic import paper_figure2_trace
 

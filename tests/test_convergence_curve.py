@@ -46,7 +46,7 @@ class TestCurve:
         assert len(text.splitlines()) == 4  # header + 3 periods
 
     def test_bounded_matches_batch_result(self):
-        from repro.core.heuristic import learn_bounded
+        from repro.core.batch import learn_bounded
 
         trace = paper_figure2_trace()
         curve = learning_curve(trace, bound=4)

@@ -12,7 +12,7 @@ from repro.analysis.drift import DriftMonitor, PeriodStatus
 from repro.analysis.holistic import analyze as holistic_analyze
 from repro.analysis.latency import response_time
 from repro.analysis.report import loads_model, dumps_model, markdown_report
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.matching import matches_period
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.systems.gm import gm_case_study_design

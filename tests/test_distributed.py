@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import socket
 import subprocess
 import sys
@@ -449,6 +450,57 @@ class TestEndToEnd:
         assert _model_key(remote) == _model_key(local)
         assert getattr(counters, counter) >= 1, counters.as_dict()
 
+
+
+def _child_pids(parent: int) -> set[int]:
+    """Live (non-zombie) processes whose parent is *parent*, from /proc."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stream:
+                fields = stream.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == parent and fields[0] != "Z":
+            children.add(int(entry))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stream:
+            return stream.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="reads /proc to find the worker's pool processes",
+)
+def test_sigterm_stops_worker_and_its_pool():
+    """SIGTERM unwinds ``repro worker`` through its teardown: the daemon
+    exits and takes its local process pool's children with it."""
+    ex = TcpShardExecutor("127.0.0.1", 0)
+    proc = _spawn_worker(ex.address, parallelism=2)
+    try:
+        ex.wait_for_workers(1, timeout=30.0)
+        served = {ex.submit(os.getpid).result(timeout=30.0) for _ in range(4)}
+        children = _child_pids(proc.pid)
+        assert served and served <= children
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=15.0) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and any(map(_alive, children)):
+            time.sleep(0.05)
+        assert not [pid for pid in children if _alive(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10.0)
+        ex.close()
 
 # -- store fingerprint refusal ---------------------------------------------
 

@@ -9,7 +9,7 @@ assert our learner reproduces all of them *verbatim*.
 import pytest
 
 from repro.core.depfunc import DependencyFunction
-from repro.core.exact import ExactLearner, learn_exact
+from repro.core.batch import ExactLearner, learn_exact
 from repro.core.lattice import parse_value
 from repro.errors import EmptyHypothesisSpaceError, LearningError
 from repro.trace.synthetic import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.classify import is_conjunction, is_disjunction
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.sim.simulator import Simulator
 from repro.systems.gateway import gateway_config, gateway_design
 from repro.trace.validate import Severity, validate_trace

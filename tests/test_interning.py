@@ -18,8 +18,7 @@ from repro.core.candidates import (
     clear_candidate_cache,
 )
 from repro.core.checkpoint import checkpoint_to_dict, load_checkpoint, save_checkpoint
-from repro.core.exact import learn_exact
-from repro.core.heuristic import BoundedLearner, learn_bounded
+from repro.core.batch import BoundedLearner, learn_bounded, learn_exact
 from repro.core.interning import PairSet, TaskTable, WeightKernel, task_table
 from repro.core.sharded import learn_shard, merge_outcomes
 from repro.core.stats import CoExecutionStats

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.exact import ExactLearner
-from repro.core.heuristic import BoundedLearner
+from repro.core.batch import BoundedLearner, ExactLearner
 from repro.core.learner import learn_dependencies, make_learner
 from repro.trace.synthetic import paper_figure2_trace
 

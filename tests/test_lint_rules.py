@@ -127,7 +127,7 @@ class TestRL001Determinism:
 
 
 class TestRL002HotLoopPurity:
-    KERNEL = "repro.core.exact"
+    KERNEL = "repro.core.interning"
 
     def test_undecorated_kernel_loop_flagged(self):
         findings = lint(
@@ -292,17 +292,6 @@ class TestRL003Boundary:
         )
         assert active(findings, "RL003") == []
 
-    def test_batch_bulk_op_flagged_outside_core(self):
-        findings = lint(
-            """
-            def widths(masks):
-                return pack_masks(masks, 2)
-            """,
-            module=self.OUTSIDE,
-        )
-        assert len(active(findings, "RL003")) == 1
-        assert "batch-kernel" in active(findings, "RL003")[0].message
-
     def test_batch_bulk_op_allowed_inside_core(self):
         findings = lint(
             """
@@ -311,19 +300,7 @@ class TestRL003Boundary:
             def widths(masks):
                 return pack_masks(masks, 2)
             """,
-            module="repro.core.heuristic",
-        )
-        assert active(findings, "RL003") == []
-
-    def test_kernel_registry_string_is_clean(self):
-        findings = lint(
-            """
-            def learn(trace):
-                from repro.core.learner import learn_dependencies
-
-                return learn_dependencies(trace, bound=16, kernel="batch")
-            """,
-            module=self.OUTSIDE,
+            module="repro.core.sharded",
         )
         assert active(findings, "RL003") == []
 
@@ -813,8 +790,8 @@ class TestSuppressionScanner:
 class TestEngine:
     def test_module_name_for_src_layout(self):
         assert (
-            module_name_for(Path("src/repro/core/exact.py"))
-            == "repro.core.exact"
+            module_name_for(Path("src/repro/core/batch.py"))
+            == "repro.core.batch"
         )
         assert (
             module_name_for(Path("/x/y/src/repro/analysis/__init__.py"))

@@ -61,7 +61,7 @@ class TestPerModeModels:
             diamond_design(), SimulatorConfig(period_length=40.0), seed=2
         ).run(30).trace
         global_model = None
-        from repro.core.heuristic import learn_bounded
+        from repro.core.batch import learn_bounded
 
         global_model = learn_bounded(trace, 8).lub()
         models = per_mode_models(trace, bound=8)

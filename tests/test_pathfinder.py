@@ -7,7 +7,7 @@ from repro.analysis.pathfinder import (
     critical_paths,
     enumerate_paths,
 )
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.errors import AnalysisError
 from repro.systems.examples import pipeline_design, simple_four_task_design
 from repro.systems.gm import gm_case_study_design

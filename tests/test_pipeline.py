@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.report import dumps_model, loads_model
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.errors import ReproError
 from repro.pipeline import (
     LearnPipeline,

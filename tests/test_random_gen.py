@@ -90,7 +90,7 @@ class TestTopologyProfiles:
         assert branchy_conditionals > 0
 
     def test_profiles_simulate_and_learn(self):
-        from repro.core.heuristic import learn_bounded
+        from repro.core.batch import learn_bounded
         from repro.sim.simulator import Simulator, SimulatorConfig
         from repro.systems.random_gen import TOPOLOGY_PROFILES, profiled_design
 

@@ -71,7 +71,7 @@ class TestRobustModel:
             assert str(model.value(fact.source, fact.target)) == "->"
 
     def test_single_trace_is_its_own_model(self, figure1_traces):
-        from repro.core.heuristic import learn_bounded
+        from repro.core.batch import learn_bounded
 
         model = robust_model(figure1_traces[:1], bound=8)
         direct = learn_bounded(figure1_traces[0], 8).lub()

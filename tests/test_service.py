@@ -19,7 +19,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,11 @@ from repro.trace.synthetic import (
 )
 
 BOUND = 8
+
+#: A spool file written by a daemon that still took a kernel name: the
+#: session "legacy" opened with ``kernel="loop"`` and evicted after the
+#: first 5 periods of :func:`canonical_trace`.
+LEGACY_SPOOL = Path(__file__).parent / "fixtures" / "legacy-loop.session.json"
 
 
 def canonical_trace():
@@ -140,6 +147,18 @@ class TestSpoolNaming:
         assert dumps_model(resumed.learner.result().lub()) == dumps_model(
             session.learner.result().lub()
         )
+
+    def test_open_op_kernel_field_is_ignored(self):
+        trace = canonical_trace()
+        message = {
+            "kind": "open", "session": "s", "tasks": trace_tasks(trace),
+            "bound": BOUND, "tolerance": 0.0, "kernel": "loop",
+        }
+        settings = SessionSettings.from_open(message)
+        assert "kernel" not in settings.to_dict()
+        learner = settings.make_learner()
+        learner.feed_trace(trace.periods)
+        assert dumps_model(learner.result().lub()) == batch_model(trace)
 
 
 # ----------------------------------------------------------------------
@@ -436,6 +455,30 @@ class TestClientFailure:
         finally:
             thread.stop()
 
+
+    def test_legacy_kernel_spool_resumes_to_cli_model(self, tmp_path):
+        """A spool naming the retired loop kernel resumes byte-identical
+        to ``repro learn`` over the whole trace."""
+        trace = canonical_trace()
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        shutil.copy(LEGACY_SPOOL, spool / spool_filename("legacy"))
+        path = str(tmp_path / "t.log")
+        get_format("text").write(trace, path)
+        reference = cli_model_bytes(path, "text", str(tmp_path / "m.json"))
+
+        thread = ServiceThread(SessionPolicy(spool_dir=str(spool)))
+        try:
+            c = ServiceClient(thread.address)
+            c.connect()
+            opened = c.open_session("legacy", (), bound=BOUND)
+            assert opened["how"] == "resumed"
+            assert opened["periods"] == 5
+            c.append_periods(trace.periods[5:])
+            assert c.close_session()["model_json"].encode() == reference
+            c.close()
+        finally:
+            thread.stop()
 
 # ----------------------------------------------------------------------
 # Layer 3: end-to-end equivalence with the batch CLI

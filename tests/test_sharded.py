@@ -13,7 +13,7 @@ The acceptance contract of ``learn_dependencies(..., workers=N)``:
 
 import pytest
 
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.learner import learn_dependencies
 from repro.core.matching import matches_trace
 from repro.core.sharded import (

@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.learner import learn_dependencies
 from repro.core.matching import matches_trace
 from repro.core.shardexec import (

@@ -103,7 +103,7 @@ class TestSporadicSources:
     def test_sporadic_breaks_false_certainty(self):
         # With an always-on stimulus, d(other, stim) would be certain by
         # co-execution; sporadic activation demotes it to probable.
-        from repro.core.heuristic import learn_bounded
+        from repro.core.batch import learn_bounded
 
         design = (
             DesignBuilder()

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import textwrap
@@ -30,6 +31,7 @@ from repro.trace.events import task_end, task_start
 from repro.trace.formats import get_format
 from repro.trace.period import Period
 from repro.trace.store import (
+    MAGIC,
     StorePeriodRange,
     StoreTrace,
     TraceStore,
@@ -166,9 +168,8 @@ class TestLearningIdentity:
         assert from_store == reference
 
     def test_stream_learn_uses_batch_kernel_from_store(self, figure2_store):
-        pytest.importorskip("numpy")
         result = stream_learn(figure2_store.path, bound=16)
-        assert result.kernel == "batch"
+        assert result.hot_loop.batch_messages == result.messages > 0
         assert result.periods == figure2_store.period_count
 
 
@@ -237,6 +238,87 @@ class TestIngest:
         assert set(info["columns"]) == {
             "times", "kinds", "subjects", "offsets",
         }
+
+
+def rewrite_header(path: str, corrupt) -> None:
+    """Replace a finalized store's JSON header, keeping its column bytes.
+
+    *corrupt* maps the decoded header to the new header: a dict or list
+    is re-encoded as JSON, bytes are written verbatim.
+    """
+    with open(path, "rb") as stream:
+        blob = stream.read()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    columns = blob[(16 + length + 7) & ~7:]
+    header = corrupt(json.loads(blob[16:16 + length]))
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    padding = b"\0" * (-(16 + len(raw)) % 8)
+    with open(path, "wb") as stream:
+        stream.write(MAGIC + struct.pack("<Q", len(raw)) + raw + padding + columns)
+
+
+def _without(key):
+    def corrupt(header):
+        del header[key]
+        return header
+    return corrupt
+
+
+def _column(name, entry):
+    def corrupt(header):
+        if entry is None:
+            del header["columns"][name]
+        else:
+            header["columns"][name] = entry
+        return header
+    return corrupt
+
+
+def _negative_offset(header):
+    # Points the times column back into the header bytes.
+    header["columns"]["times"][0] = -16
+    return header
+
+
+CORRUPT_HEADERS = {
+    "not-json": lambda header: b"{not json",
+    "not-utf8": lambda header: b"\xff\xfe",
+    "nested-too-deep": lambda header: b"[" * 100_000,
+    "not-an-object": lambda header: [header],
+    "missing-tasks": _without("tasks"),
+    "missing-subjects": _without("subjects"),
+    "missing-columns": _without("columns"),
+    "missing-column-entry": _column("kinds", None),
+    "negative-column-offset": _negative_offset,
+    "non-int-column-count": _column("subjects", [0, "7"]),
+    "short-column-entry": _column("offsets", [0]),
+    "tasks-not-a-list": lambda header: {**header, "tasks": "t1 t2"},
+    "column-count-mismatch": lambda header: {**header, "events": 1},
+}
+
+
+class TestCorruptHeader:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_HEADERS))
+    def test_rejected_cleanly(self, figure2, tmp_path, case):
+        from repro.cli import main
+
+        path = str(tmp_path / "bad.rts")
+        write_store(figure2, path)
+        rewrite_header(path, CORRUPT_HEADERS[case])
+        with pytest.raises(TraceError):
+            TraceStore(path)
+        out = io.StringIO()
+        assert main(["store-info", path], out=out) != 0
+        assert out.getvalue().startswith("error: ")
+        assert "Traceback" not in out.getvalue()
+
+    def test_rewrite_keeps_valid_store_readable(self, figure2, tmp_path):
+        path = str(tmp_path / "ok.rts")
+        write_store(figure2, path)
+        rewrite_header(path, lambda header: {**header, "padding": "x" * 5})
+        rebuilt = TraceStore(path).trace()
+        for original, copy in zip(figure2.periods, rebuilt.periods):
+            assert tuple(copy.events) == tuple(original.events)
 
 
 class TestCli:

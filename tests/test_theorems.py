@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.exact import learn_exact
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded, learn_exact
 from repro.theory.theorems import (
     brute_force_most_specific,
     check_convergence,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import lattice
-from repro.core.heuristic import learn_bounded
+from repro.core.batch import learn_bounded
 from repro.core.matching import matches_trace
 from repro.core.weights import (
     NAMED_DISTANCES,
