@@ -8,11 +8,6 @@ alongside the absolute numbers. Run via ``make bench-json``::
     python benchmarks/throughput_json.py              # regenerate baseline
     python benchmarks/throughput_json.py --check      # soft regression gate
 
-A ``learner_distributed`` entry measures the same bounded learn driven
-through two localhost ``repro worker`` daemons over TCP — its model is
-asserted bit-identical to the local sharded learn before timing, and
-the entry records the wire tallies (tasks sent, bytes both ways).
-
 A ``service_sessions`` entry measures the asyncio session daemon
 (``repro serve``) under a storm of concurrent streaming clients: the
 single-stream floor and the aggregate periods/s across 100 concurrent
@@ -24,11 +19,11 @@ latency the daemon is supposed to overlap).
 ``--check`` compares a fresh measurement against the committed baseline
 and exits non-zero if bounded-learner or store-ingest throughput dropped
 by more than 20%, if a store-backed (mmap) learn runs more than 10% slower than
-the in-memory learn (``learner_store`` parity), or if the distributed
-learn falls below 1.5x the sequential learner.
+the in-memory learn (``learner_store`` parity), or if the session storm
+falls below 100x the single-stream floor.
 On machines with fewer than 4 CPUs (or under ``REPRO_BENCH_SMOKE=1``) the
 gates are skipped — shared CI runners below that size are too noisy to
-gate on (and a 1-CPU box cannot show a parallel speedup at all) — so
+gate on (and a 1-CPU box cannot overlap sessions at all) — so
 CI's smoke job can call ``--check`` unconditionally. Skipped gates are
 not silent: every skip lands in the ``gates_skipped`` list of the JSON
 with its reason, so a baseline regenerated on a small machine says so.
@@ -76,16 +71,6 @@ MIN_CPUS_FOR_GATE = 4
 #: from the mmap must cost no more than 10% end to end.
 STORE_PARITY_TOLERANCE = 0.10
 
-#: Minimum end-to-end speedup of the 2-daemon distributed learn over
-#: the sequential learner that passes --check. Only enforced on
-#: machines with at least MIN_CPUS_FOR_GATE CPUs — below that the
-#: daemons share one core with the coordinator and a parallel speedup
-#: is physically impossible; the skip is recorded in gates_skipped.
-MIN_DISTRIBUTED_SPEEDUP = 1.5
-
-#: Localhost worker daemons behind the learner_distributed entry.
-DISTRIBUTED_DAEMONS = 2
-
 #: Concurrent streaming sessions behind the service_sessions entry.
 SERVICE_SESSIONS = 100
 #: Periods per append frame when the bench clients stream.
@@ -108,104 +93,6 @@ def _best_seconds(call, repeats: int = 3) -> float:
         call()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def _free_port() -> int:
-    import socket
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
-
-
-def _spawn_worker(address: str) -> "subprocess.Popen":
-    import subprocess
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    env.pop("REPRO_CHAOS", None)
-    return subprocess.Popen(
-        [
-            sys.executable, "-c",
-            "import sys; from repro.cli import main; "
-            "sys.exit(main(sys.argv[1:]))",
-            "worker", address, "--parallelism", "1", "--quiet",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-
-
-def measure_distributed(learn_trace, learner_seconds: float,
-                        repeats: int) -> dict:
-    """End-to-end distributed learn over localhost worker daemons.
-
-    Spawns :data:`DISTRIBUTED_DAEMONS` real ``repro worker`` processes,
-    coordinates them through :class:`repro.distributed.TcpShardExecutor`
-    and times ``learn_dependencies(..., workers=2)`` against them. The
-    distributed model is asserted bit-identical to the local sharded
-    learn before any timing — a fast wrong runtime is worthless.
-    """
-    from repro.core.learner import learn_dependencies
-    from repro.distributed import TcpExecutorFactory
-
-    address = f"tcp://127.0.0.1:{_free_port()}"
-    factory = TcpExecutorFactory(
-        address, workers=DISTRIBUTED_DAEMONS, connect_timeout=60.0
-    )
-    procs = [_spawn_worker(address) for _ in range(DISTRIBUTED_DAEMONS)]
-    try:
-        local = learn_dependencies(learn_trace, bound=LEARNER_BOUND, workers=2)
-        remote = learn_dependencies(
-            learn_trace, bound=LEARNER_BOUND, workers=2,
-            executor_factory=factory,
-        )
-        if (
-            [h.pairs for h in remote.hypotheses]
-            != [h.pairs for h in local.hypotheses]
-            or remote.functions != local.functions
-            or remote.lub() != local.lub()
-        ):
-            raise RuntimeError(
-                "distributed learn diverged from the local sharded learn "
-                "on the gm workload; refusing to benchmark a wrong runtime"
-            )
-        distributed_seconds = _best_seconds(
-            lambda: learn_dependencies(
-                learn_trace, bound=LEARNER_BOUND, workers=2,
-                executor_factory=factory,
-            ),
-            repeats,
-        )
-    finally:
-        factory.close()
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait(timeout=10.0)
-    counters = factory.counters
-    return {
-        "seconds": distributed_seconds,
-        "ops_per_second": 1.0 / distributed_seconds,
-        "unit": "traces/s",
-        "workload": (
-            f"gm subtrace({len(learn_trace.periods)}), "
-            f"bound={LEARNER_BOUND}, workers=2 over "
-            f"{DISTRIBUTED_DAEMONS} localhost repro-worker daemons (TCP)"
-        ),
-        "speedup_vs_sequential": learner_seconds / distributed_seconds,
-        "daemons": DISTRIBUTED_DAEMONS,
-        "wire": {
-            "tasks_sent": counters.wire_tasks_sent,
-            "results": counters.wire_results,
-            "bytes_sent": counters.wire_bytes_sent,
-            "bytes_received": counters.wire_bytes_received,
-            "worker_connects": counters.worker_connects,
-        },
-    }
 
 
 def measure_service_sessions(smoke: bool, repeats: int) -> dict:
@@ -349,9 +236,6 @@ def measure_throughput(smoke: bool = False) -> dict:
             lambda: learn_bounded(store_trace, LEARNER_BOUND), repeats
         )
 
-    distributed_entry = measure_distributed(
-        learn_trace, learner_seconds, repeats
-    )
     service_entry = measure_service_sessions(smoke, repeats)
 
     return {
@@ -409,7 +293,6 @@ def measure_throughput(smoke: bool = False) -> dict:
                     learner_seconds / store_learner_seconds
                 ),
             },
-            "learner_distributed": distributed_entry,
             "service_sessions": service_entry,
         },
         "environment": {
@@ -426,8 +309,8 @@ def check_regression(current: dict, baseline: dict) -> list[str]:
 
     The bounded learner and store ingest must stay within
     ``REGRESSION_TOLERANCE`` of the committed baseline; the store-backed
-    learn, the distributed learn and the session storm must clear their
-    parity and speedup floors.
+    learn and the session storm must clear their parity and speedup
+    floors.
     """
     failures = []
     for key in ("learner_bounded", "ingest_store"):
@@ -451,14 +334,6 @@ def check_regression(current: dict, baseline: dict) -> list[str]:
                 f"learner_store: {parity:.2f}x of the in-memory learn is "
                 f"below the {1.0 - STORE_PARITY_TOLERANCE:.2f}x parity "
                 "floor (mmap materialization too expensive)"
-            )
-    distributed = current["benchmarks"].get("learner_distributed")
-    if distributed is not None:
-        speedup = distributed["speedup_vs_sequential"]
-        if speedup < MIN_DISTRIBUTED_SPEEDUP:
-            failures.append(
-                f"learner_distributed: {speedup:.2f}x over the sequential "
-                f"learner is below the {MIN_DISTRIBUTED_SPEEDUP:.1f}x floor"
             )
     service = current["benchmarks"].get("service_sessions")
     if service is not None:
@@ -491,13 +366,6 @@ def gate_skips(cpus: int, smoke: bool) -> list[dict]:
         return []
     return [
         {"gate": "throughput_regression", "reason": reason},
-        {
-            "gate": "learner_distributed_speedup",
-            "reason": reason + (
-                "" if smoke else
-                "; a parallel speedup needs real cores"
-            ),
-        },
         {
             "gate": "service_sessions_aggregate",
             "reason": reason + (

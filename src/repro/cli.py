@@ -7,8 +7,6 @@ A small operational surface over the library::
     repro ingest capture.candump -o trace.rts --period-length 0.1
     repro store-info trace.rts
     repro learn trace.rts --bound 32 --workers 4 --dot graph.dot
-    repro worker tcp://127.0.0.1:7071 --parallelism 2
-    repro learn trace.rts --bound 32 --workers 2 --scheduler tcp://127.0.0.1:7071
     repro monitor trace.log --model model.json
     repro lint src/repro --json lint-report.json
 
@@ -138,14 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--workers", type=int, default=1,
                        help="shard-parallel learning processes (requires "
                        "--bound; the merged model is sound but may be less "
-                       "specific than a sequential run); with --scheduler, "
-                       "the number of remote workers to wait for")
-    learn.add_argument("--scheduler", metavar="tcp://HOST:PORT",
-                       help="coordinate remote 'repro worker' daemons at "
-                       "this address instead of forking local processes "
-                       "(requires --bound and --workers >= 2; when the "
-                       "trace is a .rts store, every worker must see an "
-                       "identical store at the same absolute path)")
+                       "specific than a sequential run)")
     learn.add_argument("--shard-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget per shard; an expired shard "
@@ -171,26 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the run profile (per-stage timings + "
                        "hot-loop counters) to PATH as JSON")
     learn.add_argument("--quiet", action="store_true")
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a shard-learning worker daemon that serves a "
-        "'repro learn --scheduler' coordinator",
-    )
-    worker.add_argument("coordinator", metavar="tcp://HOST:PORT",
-                        help="address the coordinator listens on")
-    worker.add_argument("--parallelism", type=int, default=1,
-                        help="local process-pool size: shards this worker "
-                        "runs concurrently (default: 1)")
-    worker.add_argument("--name", default=None,
-                        help="worker name in coordinator logs and counters "
-                        "(default: hostname-pid)")
-    worker.add_argument("--max-connects", type=int, default=None,
-                        metavar="N",
-                        help="give up after N connection attempts (default: "
-                        "retry forever)")
-    worker.add_argument("--quiet", action="store_true",
-                        help="suppress per-session log lines")
 
     serve = sub.add_parser(
         "serve",
@@ -397,7 +368,6 @@ def _cmd_learn(args: argparse.Namespace, out: TextIO) -> int:
         bound=args.bound,
         tolerance=args.tolerance,
         workers=args.workers,
-        scheduler=args.scheduler,
         shard_policy=policy,
         dot=args.dot,
         graphml=args.graphml,
@@ -426,28 +396,6 @@ def _cmd_learn(args: argparse.Namespace, out: TextIO) -> int:
     if args.profile_json:
         out.write(f"profile written to {args.profile_json}\n")
     return 0
-
-
-def _cmd_worker(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.distributed import serve_worker
-
-    if args.parallelism < 1:
-        raise ReproError(
-            f"--parallelism must be >= 1, got {args.parallelism}"
-        )
-
-    def log(line: str) -> None:
-        if not args.quiet:
-            out.write(f"worker: {line}\n")
-            out.flush()
-
-    return serve_worker(
-        args.coordinator,
-        name=args.name,
-        parallelism=args.parallelism,
-        max_connects=args.max_connects,
-        log=log,
-    )
 
 
 def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
@@ -531,7 +479,6 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         "ingest": _cmd_ingest,
         "store-info": _cmd_store_info,
         "learn": _cmd_learn,
-        "worker": _cmd_worker,
         "serve": _cmd_serve,
         "monitor": _cmd_monitor,
         "analyze": _cmd_analyze,

@@ -103,31 +103,6 @@ class HotLoopCounters:
         Compact mask-column layout growths — mid-period re-encodes of
         the in-flight pool after the interned pair set crossed a word
         boundary.
-    wire_tasks_sent:
-        Shard tasks framed and dispatched to remote workers by the TCP
-        coordinator (:mod:`repro.distributed`), counting re-dispatches.
-    wire_results:
-        Result frames received back (including duplicates and stale
-        deliveries, before deduplication).
-    wire_bytes_sent / wire_bytes_received:
-        Framed payload bytes over all worker connections.
-    wire_duplicates:
-        Result frames discarded because the task already had a result
-        (chaos-duplicated sends, or a stolen task finishing twice).
-    wire_reorders:
-        Results delivered out of dispatch order by a single worker
-        (harmless — the LUB merge is order-free — but counted).
-    tasks_stolen:
-        Outstanding tasks re-dispatched to another worker because the
-        owner sat on them past the steal deadline (work stealing; this
-        is what recovers a chaos-dropped result frame).
-    worker_connects:
-        Worker connections that completed the handshake.
-    worker_disconnects:
-        Worker connections lost (EOF, reset, or chaos ``disconnect``);
-        their outstanding tasks are requeued.
-    dead_workers:
-        Workers declared dead after missing the heartbeat deadline.
     sessions_opened:
         Streaming sessions created by the service daemon
         (:mod:`repro.service`); resumes are counted separately.
@@ -185,16 +160,6 @@ class HotLoopCounters:
     batch_messages: int = 0
     batch_children: int = 0
     batch_relayouts: int = 0
-    wire_tasks_sent: int = 0
-    wire_results: int = 0
-    wire_bytes_sent: int = 0
-    wire_bytes_received: int = 0
-    wire_duplicates: int = 0
-    wire_reorders: int = 0
-    tasks_stolen: int = 0
-    worker_connects: int = 0
-    worker_disconnects: int = 0
-    dead_workers: int = 0
     sessions_opened: int = 0
     sessions_resumed: int = 0
     sessions_evicted: int = 0
@@ -280,16 +245,6 @@ class HotLoopCounters:
             ("batch-kernel messages", self.batch_messages),
             ("batch-kernel children (bulk)", self.batch_children),
             ("batch-kernel mask relayouts", self.batch_relayouts),
-            ("wire tasks sent", self.wire_tasks_sent),
-            ("wire results received", self.wire_results),
-            ("wire bytes sent", self.wire_bytes_sent),
-            ("wire bytes received", self.wire_bytes_received),
-            ("wire duplicate results", self.wire_duplicates),
-            ("wire reordered results", self.wire_reorders),
-            ("tasks stolen (work stealing)", self.tasks_stolen),
-            ("worker connects", self.worker_connects),
-            ("worker disconnects", self.worker_disconnects),
-            ("dead workers (heartbeat)", self.dead_workers),
             ("sessions opened", self.sessions_opened),
             ("sessions resumed (from spool)", self.sessions_resumed),
             ("sessions evicted (to spool)", self.sessions_evicted),

@@ -23,7 +23,7 @@ from repro.core.batch import (
 )
 from repro.core.result import LearningResult
 from repro.core.sharded import learn_bounded_sharded, require_shardable
-from repro.core.shardexec import ShardExecutorFactory, ShardPolicy
+from repro.core.shardexec import ShardPolicy
 from repro.trace.trace import Trace
 
 
@@ -34,7 +34,6 @@ def learn_dependencies(
     max_hypotheses: int = 2_000_000,
     workers: int = 1,
     shard_policy: ShardPolicy | None = None,
-    executor_factory: "ShardExecutorFactory | None" = None,
 ) -> LearningResult:
     """Learn the most-specific dependency hypotheses from *trace*.
 
@@ -62,12 +61,6 @@ def learn_dependencies(
         shard splitting, degradation to sequential learning); ``None``
         uses :class:`~repro.core.shardexec.ShardPolicy`'s defaults.
         Ignored when ``workers=1``.
-    executor_factory:
-        Execution substrate for the sharded path (``workers > 1``):
-        ``None`` uses local process pools; a
-        :class:`repro.distributed.TcpExecutorFactory` dispatches shards
-        to remote ``repro worker`` daemons instead. Either way the
-        model is bit-identical — only where the shards run changes.
 
     Returns
     -------
@@ -80,7 +73,6 @@ def learn_dependencies(
     if workers > 1:
         return learn_bounded_sharded(
             trace, bound, tolerance, workers, policy=shard_policy,
-            executor_factory=executor_factory,
         )
     return learn_bounded(trace, bound, tolerance)
 

@@ -63,12 +63,7 @@ from repro.core.hypothesis import Hypothesis
 from repro.core.instrumentation import HotLoopCounters, hot_loop
 from repro.core.interning import TaskTable
 from repro.core.result import LearningResult
-from repro.core.shardexec import (
-    ShardExecutorFactory,
-    ShardPolicy,
-    ShardRuntime,
-    apply_chaos,
-)
+from repro.core.shardexec import ShardPolicy, ShardRuntime, apply_chaos
 from repro.core.stats import CoExecutionStats
 from repro.errors import LearningError
 from repro.trace.period import Period
@@ -225,7 +220,6 @@ def learn_bounded_sharded(
     tolerance: float = 0.0,
     workers: int = 2,
     policy: ShardPolicy | None = None,
-    executor_factory: "ShardExecutorFactory | None" = None,
 ) -> LearningResult:
     """Learn *trace* across *workers* period shards and LUB-merge.
 
@@ -246,14 +240,9 @@ def learn_bounded_sharded(
     :class:`~repro.errors.ShardExecutionError` naming the shard's period
     range and attempt count. The runtime's recovery counters
     (retries, splits, pool rebuilds, degraded shards) are folded into
-    the returned result's ``hot_loop`` counters.
-
-    *executor_factory* plugs a different execution substrate into the
-    runtime (see :class:`~repro.core.shardexec.ShardExecutorFactory`);
-    ``None`` keeps the local process pool. The distributed scheduler
-    passes a :class:`repro.distributed.TcpExecutorFactory` here — note
-    that a one-shard learn (``workers=1`` or a tiny trace) still runs
-    in-process, factory or not, because there is nothing to schedule.
+    the returned result's ``hot_loop`` counters. A one-shard learn
+    (``workers=1`` or a tiny trace) runs in-process, because there is
+    nothing to schedule.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -278,7 +267,6 @@ def learn_bounded_sharded(
             policy=policy,
             worker=_learn_shard_args,
             fallback=_learn_shard_fallback,
-            executor_factory=executor_factory,
         )
         outcomes = runtime.run(shards)
     result = merge_outcomes(

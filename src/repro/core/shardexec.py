@@ -65,15 +65,6 @@ Backoff between retries is exponential with *deterministic* jitter (a
 pure function of shard index and attempt): the runtime must stay
 byte-reproducible under ``PYTHONHASHSEED`` variation and must not
 consume entropy, per ``tests/test_hashseed_determinism.py``.
-
-The execution substrate itself is pluggable: the runtime mints and
-disposes of executors only through a :class:`ShardExecutorFactory`.
-The default :class:`ProcessExecutorFactory` supplies local
-``ProcessPoolExecutor`` pools; :class:`repro.distributed
-.TcpExecutorFactory` supplies a TCP coordinator over remote ``repro
-worker`` daemons — and the state machine above drives either without
-modification, because every recovery action it takes is expressed as
-"tear this executor down, mint a fresh one, requeue".
 """
 
 from __future__ import annotations
@@ -90,7 +81,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 from repro.core.instrumentation import HotLoopCounters
 from repro.errors import ShardExecutionError
@@ -213,12 +204,6 @@ class ChaosSpec:
         return attempt < int(self.param)
 
 
-#: Wire-level fault kinds handled by :mod:`repro.distributed`, not by
-#: :func:`apply_chaos`: they corrupt the *delivery* of a shard result,
-#: never its computation, so the in-process compute path ignores them.
-NETWORK_KINDS = frozenset({"drop", "duplicate", "reorder", "disconnect"})
-
-
 def parse_chaos(plan: str) -> tuple[ChaosSpec, ...]:
     """Parse a ``REPRO_CHAOS`` plan into fault specs.
 
@@ -238,24 +223,20 @@ def parse_chaos(plan: str) -> tuple[ChaosSpec, ...]:
     * ``slow@I[:S]`` — the worker sleeps ``S`` seconds (default 0.2)
       and then succeeds, on every attempt.
 
-    Network faults (injected by the distributed wire layer on shard
-    *result delivery* — see :mod:`repro.distributed.chaos`; ignored by
+    Client faults (injected by the service client on its append path —
+    see :func:`repro.service.client.client_faults`; ignored by
     :func:`apply_chaos`):
 
-    * ``drop@I[:N]`` — the result frame is never sent while the
-      delivery attempt is below ``N`` (work stealing recovers it).
-    * ``duplicate@I[:N]`` — the result frame is sent twice (the
-      coordinator deduplicates).
-    * ``reorder@I[:N]`` — the result frame is held back until a later
-      frame has been sent (the LUB merge is order-free).
-    * ``disconnect@I[:N]`` — the worker closes its connection instead
-      of sending the result (the coordinator requeues, the worker
-      reconnects).
+    * ``drop@I[:N]`` — the append frame is never sent while the
+      delivery attempt is below ``N``.
+    * ``duplicate@I[:N]`` — the append frame is sent twice.
+    * ``disconnect@I[:N]`` — the client closes its connection instead
+      of sending the frame.
     """
     specs: list[ChaosSpec] = []
     defaults = {
         "crash": 1.0, "hang": 1.0, "fail": 1.0, "slow": 0.2,
-        "drop": 1.0, "duplicate": 1.0, "reorder": 1.0, "disconnect": 1.0,
+        "drop": 1.0, "duplicate": 1.0, "disconnect": 1.0,
     }
     for entry in plan.split(","):
         entry = entry.strip()
@@ -283,10 +264,9 @@ def apply_chaos(index: int, attempt: int) -> None:
     (:func:`~repro.core.sharded._learn_shard_args`) inside the pool
     process, and nowhere else — the in-process degraded path bypasses
     injection by construction, which is what lets the chaos suite prove
-    that degraded learns complete. Network fault kinds
-    (:data:`NETWORK_KINDS`) are delivery faults, not compute faults, so
-    they fall through here and are injected by the distributed wire
-    layer instead.
+    that degraded learns complete. Client fault kinds are delivery
+    faults, not compute faults, so they fall through here and are
+    injected by the service client instead.
     """
     plan = os.environ.get(CHAOS_ENV)
     if not plan:
@@ -304,75 +284,6 @@ def apply_chaos(index: int, attempt: int) -> None:
             raise ChaosFault(
                 f"injected failure (shard {index}, attempt {attempt})"
             )
-
-
-# ---------------------------------------------------------------------------
-# Executor seam
-
-
-class ShardExecutorFactory(Protocol):
-    """The pluggable executor seam under :class:`ShardRuntime`.
-
-    The runtime's state machine (timeouts, retries, bisection, pool
-    rebuild, degradation) is executor-agnostic: everything it needs from
-    the execution substrate is the ability to mint a fresh
-    ``concurrent.futures``-style executor and to dispose of one that may
-    contain hung or dead workers. A factory provides exactly that pair,
-    so the same runtime drives local process pools
-    (:class:`ProcessExecutorFactory`) and remote TCP worker fleets
-    (:class:`repro.distributed.TcpExecutorFactory`) unchanged.
-
-    Contract:
-
-    * :meth:`new_executor` returns a ready executor. A rebuild after
-      breakage calls it again; the factory may return a fresh object or
-      reset and return a long-lived one. ``OSError`` here is treated
-      like pool construction failure (degrade or raise per policy).
-    * :meth:`teardown` disposes of an executor that may hold hung or
-      dead workers; it must return promptly and must not require the
-      workers' cooperation.
-    * An optional ``counters`` attribute
-      (:class:`~repro.core.instrumentation.HotLoopCounters`) is merged
-      into the runtime's counters after the run — this is how the TCP
-      coordinator's wire/connection tallies reach ``--profile-json``.
-    """
-
-    def new_executor(self) -> Executor:
-        """Mint (or reset and return) a ready executor."""
-        ...  # pragma: no cover - protocol
-
-    def teardown(self, executor: Executor) -> None:
-        """Dispose of *executor*, tolerating hung or dead workers."""
-        ...  # pragma: no cover - protocol
-
-
-class ProcessExecutorFactory:
-    """The default seam implementation: local OS process pools."""
-
-    def __init__(self, workers: int) -> None:
-        self.workers = workers
-
-    def new_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def teardown(self, executor: Executor) -> None:
-        """Dispose of a pool that may contain hung or dead workers.
-
-        A plain ``shutdown(wait=True)`` would block forever behind a
-        hung worker, and ``shutdown(wait=False)`` leaks the executor's
-        management thread into interpreter exit — so the worker
-        processes are terminated explicitly first (best effort; the
-        mapping is executor-internal, and sleeping workers die on
-        SIGTERM), after which the blocking shutdown reaps the dead pool
-        promptly and completely.
-        """
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, ValueError):  # already dead / closed
-                pass
-        executor.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +349,6 @@ class ShardRuntime:
         In-process callable for degraded learning. Receives
         ``(tasks, periods, bound, tolerance)`` and returns a shard
         outcome; never subject to chaos injection.
-    executor_factory:
-        The :class:`ShardExecutorFactory` supplying executors; ``None``
-        (the default) uses :class:`ProcessExecutorFactory` — local OS
-        process pools, the classic behavior. The distributed runtime
-        passes a :class:`repro.distributed.TcpExecutorFactory` here and
-        the state machine drives remote workers unchanged.
 
     The instance's :attr:`counters` accumulate the failure/retry/split/
     rebuild/degradation tallies that
@@ -460,7 +365,6 @@ class ShardRuntime:
         policy: ShardPolicy,
         worker: Callable,
         fallback: Callable,
-        executor_factory: ShardExecutorFactory | None = None,
     ) -> None:
         self.tasks = tuple(tasks)
         self.bound = bound
@@ -469,11 +373,6 @@ class ShardRuntime:
         self.policy = policy
         self.worker = worker
         self.fallback = fallback
-        self.factory: ShardExecutorFactory = (
-            executor_factory
-            if executor_factory is not None
-            else ProcessExecutorFactory(workers)
-        )
         self.counters = HotLoopCounters()
         self._next_index = 0
 
@@ -535,9 +434,6 @@ class ShardRuntime:
         finally:
             if pool is not None:
                 self._teardown(pool)
-            extra = getattr(self.factory, "counters", None)
-            if extra is not None:
-                self.counters.merge(extra)
         return outcomes
 
     # -- scheduling ------------------------------------------------------
@@ -765,25 +661,38 @@ class ShardRuntime:
     # -- pool lifecycle --------------------------------------------------
 
     def _new_pool(self) -> Executor | None:
-        """Mint an executor through the seam; None means degrade now."""
+        """A fresh local process pool; None means degrade now."""
         try:
-            return self.factory.new_executor()
+            return ProcessPoolExecutor(max_workers=self.workers)
         except OSError:
             if self.policy.degrade == "fail":
                 raise
             return None
 
     def _teardown(self, pool: Executor) -> None:
-        self.factory.teardown(pool)
+        """Dispose of a pool that may contain hung or dead workers.
+
+        A plain ``shutdown(wait=True)`` would block forever behind a
+        hung worker, and ``shutdown(wait=False)`` leaks the executor's
+        management thread into interpreter exit — so the worker
+        processes are terminated explicitly first (best effort; the
+        mapping is executor-internal, and sleeping workers die on
+        SIGTERM), after which the blocking shutdown reaps the dead pool
+        promptly and completely.
+        """
+        processes = getattr(pool, "_processes", None) or {}
+        for process in list(processes.values()):
+            try:
+                process.terminate()
+            except (OSError, ValueError):  # already dead / closed
+                pass
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 __all__ = [
     "CHAOS_ENV",
-    "NETWORK_KINDS",
     "ChaosFault",
     "ChaosSpec",
-    "ProcessExecutorFactory",
-    "ShardExecutorFactory",
     "ShardJob",
     "ShardPolicy",
     "ShardRuntime",

@@ -1,15 +1,12 @@
 """RL004 — shard/pickle safety at the process-pool boundary.
 
 Shard-parallel learning (:mod:`repro.core.sharded`) ships work to
-``ProcessPoolExecutor`` workers — and, with a ``--scheduler``, to
-remote ``repro worker`` daemons through
-:class:`repro.distributed.TcpShardExecutor` — both of which pickle the
-callable and every argument (the local pool through the
-multiprocessing pipe, the TCP coordinator into wire frames). Lambdas,
-nested functions and closures pickle by *reference
-to a module-level name* — which they do not have — so they fail at
-submit time on some platforms and, worse, only at result time on
-others. The rule keeps the boundary statically safe:
+``ProcessPoolExecutor`` workers, which pickle the callable and every
+argument through the multiprocessing pipe. Lambdas, nested functions
+and closures pickle by *reference to a module-level name* — which they
+do not have — so they fail at submit time on some platforms and,
+worse, only at result time on others. The rule keeps the boundary
+statically safe:
 
 * callables submitted via ``pool.submit(f, ...)`` / ``pool.map(f, ...)``
   must be module-level ``def``s or imported names — never lambdas,
@@ -45,13 +42,10 @@ from repro.devtools.lint.registry import (
 )
 
 #: Executor types whose ``submit``/``map`` cross a pickle boundary. The
-#: bare ``Executor`` protocol is deliberately included: the shard
-#: runtime's seam (:class:`repro.core.shardexec.ShardExecutorFactory`)
-#: types its executors abstractly, and *every* substrate behind that
-#: seam pickles — local process pools via the multiprocessing pipe,
-#: :class:`repro.distributed.TcpShardExecutor` via wire frames — so
-#: abstract submit sites need the same static safety.
-POOL_TYPES = frozenset({"ProcessPoolExecutor", "TcpShardExecutor", "Executor"})
+#: bare ``Executor`` type is deliberately included: the shard runtime
+#: types its pool abstractly (``ShardRuntime._new_pool`` returns an
+#: ``Executor``), and abstract submit sites need the same static safety.
+POOL_TYPES = frozenset({"ProcessPoolExecutor", "Executor"})
 SUBMIT_METHODS = frozenset({"submit", "map"})
 
 

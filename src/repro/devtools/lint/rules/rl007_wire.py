@@ -1,15 +1,16 @@
-"""RL007 — wire-framing confinement to the distributed package.
+"""RL007 — wire-framing confinement to the framing module and the service.
 
-The distributed runtime's frame format — 4 magic bytes, a big-endian
-length, a pickled payload — is an implementation detail of
+The RPF1 frame format — 4 magic bytes, a big-endian length, a pickled
+payload — is an implementation detail of
 :mod:`repro.distributed.framing`. Exactly one encoder and one decoder
-exist; that is what makes the protocol versionable (bump
-``PROTOCOL_VERSION`` and one magic string) and what keeps
-pickle-over-socket auditable: the only place untrusted-looking bytes
-become objects is a module whose docstring states the trust model.
+exist; that is what makes the format versionable (bump one magic
+string) and what keeps pickle-over-socket auditable: the only place
+untrusted-looking bytes become objects is a module whose docstring
+states the trust model.
 
-Outside ``repro.distributed`` (and ``repro.devtools`` itself) the rule
-flags:
+Outside the framing module (with the ``repro.distributed`` package root
+that re-exports it), the session service :mod:`repro.service` — its one
+user — and ``repro.devtools`` itself, the rule flags:
 
 * importing :mod:`repro.distributed.framing` — by ``import`` or
   ``from``-import, whole or by name;
@@ -22,8 +23,8 @@ flags:
   layer starts.
 
 Everything above the boundary exchanges ordinary objects with the
-coordinator/worker APIs (:class:`repro.distributed.TcpShardExecutor`,
-``serve_worker``) and never sees a frame.
+service's client API (:class:`repro.service.ServiceClient`) and never
+sees a frame.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ FRAMING_NAMES = frozenset(
     }
 )
 
-#: Modules allowed to frame and unframe bytes. The streaming session
-#: service speaks the same RPF1 frames over its own asyncio transport,
-#: so it shares the boundary with the distributed runtime.
+#: Modules allowed to frame and unframe bytes: the framing module
+#: itself and the package root that re-exports it.
+ALLOWED_MODULES = frozenset({"repro.distributed", FRAMING_MODULE})
+
+#: Packages allowed to frame and unframe bytes: the session service
+#: speaks RPF1 frames over its own sockets and asyncio transport.
 ALLOWED_PREFIXES = (
-    "repro.distributed",
     "repro.service",
     "repro.devtools",
 )
@@ -66,12 +69,15 @@ class WireFramingRule(Rule):
     name = "wire-framing-confinement"
     invariant = (
         "wire framing (length-prefixed pickle over sockets) exists only "
-        "inside repro.distributed; everything above exchanges objects"
+        "in repro.distributed.framing and repro.service; everything above "
+        "exchanges objects"
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        return ctx.module.startswith("repro") and not ctx.module.startswith(
-            ALLOWED_PREFIXES
+        return (
+            ctx.module.startswith("repro")
+            and ctx.module not in ALLOWED_MODULES
+            and not ctx.module.startswith(ALLOWED_PREFIXES)
         )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -89,8 +95,8 @@ class WireFramingRule(Rule):
                         self,
                         node,
                         "import from the framing module outside "
-                        "repro.distributed; exchange objects through the "
-                        "coordinator/worker APIs instead",
+                        "repro.service; exchange objects through the "
+                        "service client instead",
                     )
                 elif module.startswith("repro"):
                     for alias in node.names:
@@ -99,7 +105,7 @@ class WireFramingRule(Rule):
                                 self,
                                 node,
                                 f"'{alias.name}' is wire-framing API; it "
-                                "must not be used outside repro.distributed",
+                                "must not be used outside repro.service",
                             )
                 if module == "socket" or module.startswith("socket."):
                     uses_socket = True
@@ -112,8 +118,8 @@ class WireFramingRule(Rule):
                             self,
                             node,
                             "import of the framing module outside "
-                            "repro.distributed; exchange objects through "
-                            "the coordinator/worker APIs instead",
+                            "repro.service; exchange objects through "
+                            "the service client instead",
                         )
                     if alias.name == "socket":
                         uses_socket = True
@@ -141,4 +147,9 @@ class WireFramingRule(Rule):
         return None
 
 
-__all__ = ["ALLOWED_PREFIXES", "FRAMING_NAMES", "WireFramingRule"]
+__all__ = [
+    "ALLOWED_MODULES",
+    "ALLOWED_PREFIXES",
+    "FRAMING_NAMES",
+    "WireFramingRule",
+]

@@ -4,7 +4,7 @@ The session service (:mod:`repro.service`) is the repo's one
 event-loop program: a daemon juggling hundreds of live sockets is
 exactly what cooperative scheduling is for. Everywhere else the
 codebase is deliberately synchronous — learners are pure incremental
-state machines, the distributed runtime is thread-and-process based,
+state machines, the shard runtime is process-pool based,
 and the CLI is a batch program. Letting ``async`` leak into those
 layers would fork every API into sync/async twins and make the
 learner hot loop's cost model (paper Theorems 2/3) hostage to

@@ -1,73 +1,32 @@
-"""Distributed shard learning over TCP.
+"""RPF1 wire framing, the byte layer under the session service.
 
-The sharded learner's executor seam
-(:class:`~repro.core.shardexec.ShardExecutorFactory`) accepts any
-``concurrent.futures``-shaped substrate; this package supplies the
-remote one. A :class:`TcpShardExecutor` coordinator listens for
-``repro worker`` daemons, dispatches shard tasks least-loaded with work
-stealing, and survives the same fault classes the local runtime does —
-plus the network-only ones (dropped, duplicated, reordered, and
-disconnect-severed result frames), injected deterministically by
-``REPRO_CHAOS`` and recovered by stealing, ledger dedupe, and requeue.
-
-Layering (enforced by ``repro-lint`` rule RL007): wire framing —
-pickling bytes onto sockets — happens only inside this package.
-Everything above it exchanges ordinary objects.
-
-Usage, in two shells::
-
-    repro worker tcp://127.0.0.1:7071 --parallelism 2
-    repro learn trace.rts --scheduler tcp://127.0.0.1:7071 --workers 1
-
-The learn produces a bit-identical model to the local run: shard
-outcomes are pure functions of their period ranges and the LUB merge
-is order-free, so moving execution across machines changes nothing but
-wall-clock.
+:mod:`repro.distributed.framing` is the one place messages are turned
+into bytes on a socket and back: a fixed 8-byte header (magic plus a
+big-endian length) followed by a pickled payload. The session service
+(:mod:`repro.service`) is its only user; lint rule RL007 confines the
+format to that module and that package.
 """
 
-from repro.distributed.chaos import network_faults
-from repro.distributed.coordinator import (
-    BROKEN_GRACE,
-    STEAL_TIMEOUT,
-    TcpExecutorFactory,
-    TcpShardExecutor,
-)
 from repro.distributed.framing import (
     FRAME_MAGIC,
+    HEADER_SIZE,
     MAX_FRAME_BYTES,
     FrameError,
     decode_frame,
     encode_frame,
+    parse_frame_header,
+    recv_frame,
+    send_frame,
 )
-from repro.distributed.ledger import Delivery, ResultLedger
-from repro.distributed.protocol import (
-    HEARTBEAT_INTERVAL,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    StoreFingerprint,
-    parse_address,
-    store_fingerprint,
-)
-from repro.distributed.worker import serve_worker
 
 __all__ = [
-    "BROKEN_GRACE",
     "FRAME_MAGIC",
-    "HEARTBEAT_INTERVAL",
+    "HEADER_SIZE",
     "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "STEAL_TIMEOUT",
-    "Delivery",
     "FrameError",
-    "ProtocolError",
-    "ResultLedger",
-    "StoreFingerprint",
-    "TcpExecutorFactory",
-    "TcpShardExecutor",
     "decode_frame",
     "encode_frame",
-    "network_faults",
-    "parse_address",
-    "serve_worker",
-    "store_fingerprint",
+    "parse_frame_header",
+    "recv_frame",
+    "send_frame",
 ]

@@ -1,22 +1,21 @@
-"""Length-prefixed pickle framing for the distributed shard protocol.
+"""Length-prefixed pickle framing for the session service's wire.
 
-Every message between the coordinator and a ``repro worker`` daemon is
-one *frame*: a fixed 8-byte header — 4 magic bytes + a ``uint32``
-big-endian payload length — followed by a pickled payload::
+Every message between a :class:`~repro.service.client.ServiceClient`
+and the ``repro serve`` daemon is one *frame*: a fixed 8-byte header —
+4 magic bytes + a ``uint32`` big-endian payload length — followed by a
+pickled payload::
 
     b"RPF1" | len(payload) as !I | pickle.dumps(payload)
 
 The framing layer is deliberately dumb: it neither inspects nor
-interprets payloads (that is :mod:`repro.distributed.protocol`'s job),
-it just guarantees message boundaries over a byte stream. Pickles stay
-inside the trusted cluster — both ends run the same ``repro`` checkout
-and authenticate via the protocol handshake — mirroring how
-``ProcessPoolExecutor`` already pickles the very same objects across
-the local process boundary.
+interprets payloads (that is :mod:`repro.service.ops`'s job), it just
+guarantees message boundaries over a byte stream. Decoding unpickles,
+so a peer must be trusted: both ends are meant to run the same
+``repro`` checkout.
 
 Boundary invariant (lint rule RL007): these helpers and this module are
-the only place bytes are framed/unframed; nothing outside
-``repro.distributed`` may import them or re-implement the format.
+the only place bytes are framed/unframed; nothing outside this module
+and :mod:`repro.service` may import them or re-implement the format.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ FRAME_MAGIC = b"RPF1"
 #: Header: magic + big-endian uint32 payload length.
 _HEADER = struct.Struct("!4sI")
 
-#: Hard cap on one frame's payload. Shard outcomes are a few KB and
-#: store-backed tasks ~100 bytes; anything near this size is a protocol
-#: error, not a big message.
+#: Hard cap on one frame's payload. Service ops are a few KB (an append
+#: frame carries a batch of periods); anything near this size is a
+#: protocol error, not a big message.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Bytes in the fixed frame header. Readers that own their own byte

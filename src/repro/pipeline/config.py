@@ -39,19 +39,7 @@ class PipelineConfig:
         algorithm (sequential only).
     workers:
         Shard-parallel learning fan-out; requires a bound when > 1
-        (see :mod:`repro.core.sharded`). With a ``scheduler`` set this
-        is also the number of remote worker daemons the coordinator
-        waits for before dispatching.
-    scheduler:
-        ``tcp://HOST:PORT`` address to coordinate remote ``repro
-        worker`` daemons on, or ``None`` (the default) for local
-        process pools. Requires ``workers > 1`` and a bound. When the
-        trace source is a ``.rts`` store, its content fingerprint is
-        sent to every worker, and workers whose store at the same path
-        differs refuse the session (the shard tasks ship ``(path,
-        start, stop)`` handles, so all machines must see the same store
-        at the same absolute path). The CLI's ``--scheduler`` flag maps
-        onto this field.
+        (see :mod:`repro.core.sharded`).
     shard_policy:
         Fault-tolerance policy for shard-parallel learning — per-shard
         timeout, retry/split budgets, and the degradation mode when the
@@ -88,7 +76,6 @@ class PipelineConfig:
     learn: bool = True
     bound: int | None = None
     workers: int = 1
-    scheduler: str | None = None
     shard_policy: ShardPolicy | None = None
     max_hypotheses: int = 2_000_000
     analyze_modes: bool = False

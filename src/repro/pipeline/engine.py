@@ -128,8 +128,6 @@ class PipelineRun:
                 "merge_count": getattr(result, "merge_count", None),
                 "elapsed_seconds": getattr(result, "elapsed_seconds", None),
             }
-            if self.config.scheduler is not None:
-                data["learn"]["scheduler"] = self.config.scheduler
             policy = self.config.shard_policy
             if policy is not None:
                 data["learn"]["shard_policy"] = {
@@ -227,46 +225,15 @@ class LearnPipeline:
         from repro.core.learner import learn_dependencies
 
         config = self.config
-        factory = self._make_executor_factory(run)
-        try:
-            run.result = learn_dependencies(
-                run.trace,
-                bound=config.bound,
-                tolerance=config.tolerance,
-                max_hypotheses=config.max_hypotheses,
-                workers=config.workers,
-                shard_policy=config.shard_policy,
-                executor_factory=factory,
-            )
-        finally:
-            if factory is not None:
-                factory.close()
-        run.model = run.result.lub()
-
-    def _make_executor_factory(self, run: PipelineRun):
-        """The distributed executor factory, when a scheduler is set.
-
-        Learning from a ``.rts`` store sends the store's fingerprint in
-        the handshake so every worker proves it sees the same bytes at
-        the same absolute path before any shard is dispatched.
-        """
-        config = self.config
-        if config.scheduler is None:
-            return None
-        if config.workers < 2 or config.bound is None:
-            raise ReproError(
-                "--scheduler requires --workers >= 2 and a --bound: "
-                "remote dispatch is only defined for sharded bounded "
-                "learning"
-            )
-        from repro.distributed import TcpExecutorFactory, store_fingerprint
-
-        store = None
-        if run.format == "store" and config.source is not None:
-            store = store_fingerprint(config.source)
-        return TcpExecutorFactory(
-            config.scheduler, workers=config.workers, store=store
+        run.result = learn_dependencies(
+            run.trace,
+            bound=config.bound,
+            tolerance=config.tolerance,
+            max_hypotheses=config.max_hypotheses,
+            workers=config.workers,
+            shard_policy=config.shard_policy,
         )
+        run.model = run.result.lub()
 
     def _stage_analyze(self, run: PipelineRun) -> None:
         config = self.config

@@ -23,7 +23,7 @@ use the synchronous wrappers and never touch an event loop.
 
 from repro.service.client import ServiceClient
 from repro.service.config import SessionPolicy
-from repro.service.ops import ServiceError
+from repro.service.ops import ServiceError, parse_address
 from repro.service.server import ServiceServer, ServiceThread, serve_service
 
 __all__ = [
@@ -32,5 +32,6 @@ __all__ = [
     "ServiceServer",
     "ServiceThread",
     "SessionPolicy",
+    "parse_address",
     "serve_service",
 ]

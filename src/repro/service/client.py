@@ -10,7 +10,7 @@ feeding them, which is what makes delivery exactly-once end to end.
 
 Chaos: constructing the client with a ``chaos_index`` arms the
 deterministic ``REPRO_CHAOS`` plan at the append send site (see
-:func:`repro.distributed.chaos.client_faults`): ``disconnect`` closes
+:func:`client_faults`): ``disconnect`` closes
 the socket instead of sending and recovers through the resend path,
 ``drop`` skips a send attempt, ``duplicate`` sends the frame twice,
 ``slow`` stalls before sending. Faults are keyed by (index, delivery
@@ -19,18 +19,43 @@ attempt), so every chaos run is reproducible.
 
 from __future__ import annotations
 
+import os
 import socket
 import time
 
-from repro.distributed.chaos import client_faults
+from repro.core.shardexec import CHAOS_ENV, ChaosSpec, parse_chaos
 from repro.distributed.framing import FrameError, recv_frame, send_frame
-from repro.distributed.protocol import parse_address
 from repro.service import ops
-from repro.service.ops import ServiceError
+from repro.service.ops import ServiceError, parse_address
 from repro.trace.formats import resolve_format
 
 #: Periods per append frame when streaming a whole file.
 DEFAULT_BATCH = 16
+
+#: Fault kinds a client injects at its append send site. ``slow``
+#: reuses the compute-kind spelling to mean "sleep ``param`` seconds
+#: before sending" — a deterministic slow-client fault for
+#: backpressure tests.
+CLIENT_KINDS = frozenset({"drop", "duplicate", "disconnect", "slow"})
+
+
+def client_faults(index: int, attempt: int) -> tuple[ChaosSpec, ...]:
+    """Fault specs a service client injects for this (session, delivery).
+
+    Returns the full specs — the ``slow`` kind needs its param (seconds
+    of client-side stall). Keyed by the client's session index and
+    per-frame delivery attempt, so a default ``N = 1`` fault hits the
+    first delivery of a frame and lets the resend after reconnect
+    through. Empty when ``REPRO_CHAOS`` is unset.
+    """
+    plan = os.environ.get(CHAOS_ENV)
+    if not plan:
+        return ()
+    return tuple(
+        spec
+        for spec in parse_chaos(plan)
+        if spec.kind in CLIENT_KINDS and spec.applies(index, attempt)
+    )
 
 
 class ServiceClient:

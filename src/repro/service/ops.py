@@ -1,9 +1,9 @@
 """The session protocol's op vocabulary: frame payload shapes.
 
 Every frame between a client and the service daemon is a dict with a
-``kind`` key, carried inside the distributed runtime's RPF1 frames
-(:mod:`repro.distributed.framing` — lint rule RL007 lets the service
-share that boundary). This module is the one place payload shapes are
+``kind`` key, carried inside RPF1 frames (:mod:`repro.distributed.framing`
+— lint rule RL007 confines framing to that module and this package).
+This module is the one place payload shapes and the address grammar are
 spelled out; the server and the client library both build and check
 frames through it, so the protocol cannot drift apart silently.
 
@@ -37,7 +37,34 @@ SERVICE_PROTOCOL = 1
 
 
 class ServiceError(ReproError):
-    """A protocol violation or a server-reported op failure."""
+    """A protocol violation, a malformed address, or a server-reported
+    op failure."""
+
+
+def parse_address(url: str) -> tuple[str, int]:
+    """``tcp://HOST:PORT`` → ``(host, port)``.
+
+    The only supported scheme is ``tcp``; the port is mandatory. This
+    is the address grammar of ``repro serve`` and
+    :class:`~repro.service.client.ServiceClient`.
+    """
+    prefix = "tcp://"
+    if not url.startswith(prefix):
+        raise ServiceError(
+            f"service address must look like tcp://HOST:PORT, got {url!r}"
+        )
+    host, _, port_text = url[len(prefix):].rpartition(":")
+    if not host or not port_text:
+        raise ServiceError(
+            f"service address must look like tcp://HOST:PORT, got {url!r}"
+        )
+    try:
+        port = int(port_text)
+    except ValueError:
+        raise ServiceError(f"service port is not a number in {url!r}") from None
+    if not 0 <= port <= 65535:
+        raise ServiceError(f"service port {port} out of range in {url!r}")
+    return host, port
 
 
 # ----------------------------------------------------------------------

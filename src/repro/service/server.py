@@ -44,11 +44,10 @@ from repro.distributed.framing import (
     encode_frame,
     parse_frame_header,
 )
-from repro.distributed.protocol import parse_address
 from repro.service import ops
 from repro.service.config import SessionPolicy
 from repro.service.eviction import SessionManager
-from repro.service.ops import ServiceError
+from repro.service.ops import ServiceError, parse_address
 from repro.service.session import Session
 from repro.trace.events import Event
 from repro.trace.period import Period

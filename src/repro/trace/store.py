@@ -10,8 +10,9 @@ counts, and the byte offset + element count of each column; the columns
 are raw little-endian arrays — ``times`` float64, ``kinds`` uint8,
 ``subjects`` uint32, ``offsets`` uint64 — each 8-byte aligned. Readers
 ``mmap`` the file and cast zero-copy :class:`memoryview` windows over
-the columns, so opening a multi-GB store is O(1) and learning from it
-touches only the pages of the periods actually materialized.
+the columns, so a multi-GB store opens in small memory: the one pass at
+open range-checks the kinds, subjects and offsets columns in
+fixed-size chunks, and materializing periods reads only their pages.
 
 Two halves:
 
@@ -45,9 +46,13 @@ import tempfile
 from array import array
 from typing import IO, Iterable, Iterator, TextIO
 
+import numpy as np
+
 from repro.errors import ReproError, TraceError
 from repro.trace.columnar import (
+    AUTO_LABEL_BIT,
     CODE_BY_KIND,
+    KIND_BY_CODE,
     ColumnarPeriods,
     LazyTrace,
     encode_subject,
@@ -72,6 +77,10 @@ COLUMN_LAYOUT = (
 
 #: Events buffered in memory before a flush to the column temp files.
 FLUSH_EVENTS = 65536
+
+#: Column entries scanned per step when an open validates column
+#: contents; bounds the temporaries so a huge store opens in small memory.
+CHECK_CHUNK = 1 << 20
 
 _RISE_CODE = CODE_BY_KIND[EventKind.MSG_RISE]
 
@@ -147,6 +156,67 @@ def _check_header(path: str, raw: bytes) -> dict:
                 f"the header counts need {expected[name]}"
             )
     return header
+
+
+def _first_bad(flags: np.ndarray, base: int) -> int | None:
+    """Global index of the first set flag in one scanned chunk, if any."""
+    hits = np.flatnonzero(flags)
+    return base + int(hits[0]) if hits.size else None
+
+
+def _check_columns(path: str, columns: dict, events: int, subjects: int) -> None:
+    """Validate column *contents* against the header; :class:`TraceError` if bad.
+
+    The header checks only bound each column's extent. A corrupt offset,
+    kind code or subject id would otherwise surface much later — as a
+    bare ``IndexError`` while materializing, or as a misleading trace
+    error — so every entry is range-checked here, in
+    :data:`CHECK_CHUNK`-sized numpy steps over the mmap views:
+
+    * period offsets start at 0, never decrease, and end at ``events``;
+    * kind codes index :data:`~repro.trace.columnar.KIND_BY_CODE`;
+    * subject ids without :data:`~repro.trace.columnar.AUTO_LABEL_BIT`
+      index the subject table.
+    """
+    offsets = np.frombuffer(columns["offsets"], dtype=np.uint64)
+    if int(offsets[0]) != 0:
+        raise TraceError(
+            f"{path}: corrupt offsets column: the first period starts at "
+            f"event {int(offsets[0])}, not 0"
+        )
+    if int(offsets[-1]) != events:
+        raise TraceError(
+            f"{path}: corrupt offsets column: the last period ends at "
+            f"event {int(offsets[-1])}, but the store holds {events} events"
+        )
+    for lo in range(0, len(offsets) - 1, CHECK_CHUNK):
+        window = offsets[lo:lo + CHECK_CHUNK + 1]
+        period = _first_bad(window[1:] < window[:-1], lo)
+        if period is not None:
+            raise TraceError(
+                f"{path}: corrupt offsets column: period {period + 1} "
+                f"starts at event {int(offsets[period + 1])}, before "
+                f"period {period} at event {int(offsets[period])}"
+            )
+    kinds = np.frombuffer(columns["kinds"], dtype=np.uint8)
+    subject_ids = np.frombuffer(columns["subjects"], dtype=np.uint32)
+    for lo in range(0, events, CHECK_CHUNK):
+        chunk = kinds[lo:lo + CHECK_CHUNK]
+        event = _first_bad(chunk >= len(KIND_BY_CODE), lo)
+        if event is not None:
+            raise TraceError(
+                f"{path}: corrupt kinds column: event {event} has kind "
+                f"code {int(kinds[event])} (valid codes are "
+                f"0..{len(KIND_BY_CODE) - 1})"
+            )
+        chunk = subject_ids[lo:lo + CHECK_CHUNK]
+        event = _first_bad((chunk < AUTO_LABEL_BIT) & (chunk >= subjects), lo)
+        if event is not None:
+            raise TraceError(
+                f"{path}: corrupt subjects column: event {event} names "
+                f"subject id {int(subject_ids[event])}, but the subject "
+                f"table has {subjects} entries"
+            )
 
 
 class TraceStoreWriter:
@@ -408,6 +478,9 @@ class TraceStore:
                 copied.frombytes(bytes(window))
                 copied.byteswap()
                 views[name] = copied
+        _check_columns(
+            self._path, views, self.event_count, len(self._table)
+        )
         self._columns = views
 
     # -- facts -----------------------------------------------------------
@@ -512,25 +585,6 @@ def open_store(path: str) -> TraceStore:
     store = TraceStore(key)
     _OPEN_STORES[key] = store
     return store
-
-
-def close_all_stores() -> int:
-    """Close and evict every cached store; returns how many were open.
-
-    Long-lived processes that serve many learns — the ``repro worker``
-    daemon above all — accumulate entries in the process-wide cache as
-    they unpickle :class:`StorePeriodRange` handles; each entry pins a
-    file descriptor and an mmap view. Call this on shutdown (the worker
-    daemon does) or between sessions to release them. Closing is safe
-    at any point: a later :func:`open_store` transparently reopens.
-    """
-    count = 0
-    for store in list(_OPEN_STORES.values()):
-        if not store.closed:
-            count += 1
-            store.close()
-    _OPEN_STORES.clear()
-    return count
 
 
 def _reopen_range(path: str, start: int, stop: int) -> "StorePeriodRange":
@@ -646,7 +700,6 @@ __all__ = [
     "StoreTrace",
     "TraceStore",
     "TraceStoreWriter",
-    "close_all_stores",
     "open_store",
     "read_store",
     "stream_store",

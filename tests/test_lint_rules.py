@@ -658,13 +658,13 @@ class TestRL007WireFraming:
         assert len(active(findings, "RL007")) == 1
         assert "second framing layer" in active(findings, "RL007")[0].message
 
-    def test_coordinator_api_import_clean(self):
+    def test_service_api_import_clean(self):
         findings = lint(
             """
-            from repro.distributed import TcpExecutorFactory
+            from repro.service import ServiceClient
 
-            def make_factory(address, workers):
-                return TcpExecutorFactory(address, workers=workers)
+            def model_of(address):
+                return ServiceClient(address).query_model()
             """,
             module=self.OUTSIDE,
         )
@@ -676,9 +676,22 @@ class TestRL007WireFraming:
             import socket
             from repro.distributed.framing import send_frame
             """
-        for module in ("repro.distributed.worker", "repro.distributed"):
+        for module in (
+            "repro.distributed.framing",
+            "repro.distributed",
+            "repro.service.client",
+        ):
             findings = lint(source, module=module)
             assert active(findings, "RL007") == []
+
+    def test_new_distributed_module_flagged(self):
+        findings = lint(
+            """
+            from repro.distributed.framing import send_frame
+            """,
+            module="repro.distributed.worker",
+        )
+        assert len(active(findings, "RL007")) == 1
 
 
 class TestRL008AsyncConfinement:

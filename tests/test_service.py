@@ -1,8 +1,9 @@
 """Session-service tests: equivalence, lifecycle, faults, backpressure.
 
-Three layers, mirroring the distributed suite's doctrine:
+Three layers, cheapest first:
 
-1. pure units (policy validation, spool naming, ops vocabulary);
+1. pure units (policy validation, spool naming, ops vocabulary, the
+   RPF1 framing and address grammar, client chaos plans);
 2. protocol-level tests against an in-process daemon
    (:class:`~repro.service.server.ServiceThread` — safe to host
    in-process because the service holds no process pools), including a
@@ -28,7 +29,21 @@ import pytest
 from repro.analysis.report import dumps_model
 from repro.cli import main as cli_main
 from repro.core.learner import learn_dependencies
-from repro.service import ServiceClient, ServiceError, ServiceThread, SessionPolicy
+from repro.distributed.framing import (
+    FrameError,
+    decode_frame,
+    encode_frame,
+    recv_frame,
+    send_frame,
+)
+from repro.service import (
+    ServiceClient,
+    ServiceError,
+    ServiceThread,
+    SessionPolicy,
+    parse_address,
+)
+from repro.service.client import client_faults
 from repro.service.config import DEGRADE_MODES
 from repro.service.eviction import spool_filename
 from repro.service.session import SPOOL_FORMAT, Session, SessionSettings
@@ -159,6 +174,89 @@ class TestSpoolNaming:
         learner = settings.make_learner()
         learner.feed_trace(trace.periods)
         assert dumps_model(learner.result().lub()) == batch_model(trace)
+
+
+class TestFraming:
+    def test_round_trip(self):
+        payload = {"kind": "append", "value": [1, 2, ("a", 3.5)]}
+        assert decode_frame(encode_frame(payload)) == payload
+
+    def test_bad_magic_rejected(self):
+        frame = bytearray(encode_frame({"x": 1}))
+        frame[:4] = b"NOPE"
+        with pytest.raises(FrameError):
+            decode_frame(bytes(frame))
+
+    def test_truncated_body_rejected(self):
+        frame = encode_frame({"x": 1})
+        with pytest.raises(FrameError):
+            decode_frame(frame[:-2])
+
+    def test_short_header_rejected(self):
+        with pytest.raises(FrameError):
+            decode_frame(b"RPF1")
+
+    def test_socket_round_trip_preserves_boundaries(self):
+        left, right = socket.socketpair()
+        try:
+            sent = send_frame(left, {"n": 1}) + send_frame(left, {"n": 2})
+            first, n1 = recv_frame(right)
+            second, n2 = recv_frame(right)
+            assert (first, second) == ({"n": 1}, {"n": 2})
+            assert n1 + n2 == sent
+        finally:
+            left.close()
+            right.close()
+
+    def test_eof_between_frames(self):
+        left, right = socket.socketpair()
+        left.close()
+        try:
+            with pytest.raises(EOFError):
+                recv_frame(right)
+        finally:
+            right.close()
+
+
+class TestAddress:
+    def test_parse_address(self):
+        assert parse_address("tcp://127.0.0.1:7071") == ("127.0.0.1", 7071)
+        assert parse_address("tcp://learn.host:0") == ("learn.host", 0)
+
+    @pytest.mark.parametrize("bad", [
+        "127.0.0.1:7071", "tcp://nohost", "tcp://h:port", "tcp://h:70000",
+        "tcp://:7071", "udp://h:1",
+    ])
+    def test_parse_address_rejects(self, bad):
+        with pytest.raises(ServiceError, match="service"):
+            parse_address(bad)
+
+    def test_serve_cli_rejects_bad_address(self):
+        out = io.StringIO()
+        assert cli_main(["serve", "127.0.0.1:7071"], out=out) == 2
+        assert "error: service address" in out.getvalue()
+
+
+class TestClientFaults:
+    def test_unset_plan_is_empty(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        assert client_faults(0, 0) == ()
+
+    def test_client_kinds_filtered_and_keyed(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "drop@1,crash@1,duplicate@2:2")
+
+        def kinds(index, attempt):
+            return tuple(spec.kind for spec in client_faults(index, attempt))
+
+        assert kinds(1, 0) == ("drop",)  # crash is compute-side
+        assert kinds(1, 1) == ()  # default budget is one attempt
+        assert kinds(2, 1) == ("duplicate",)
+        assert kinds(2, 2) == ()
+
+    def test_reorder_is_an_unknown_kind(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHAOS", "reorder@0")
+        with pytest.raises(ValueError, match="unknown fault kind 'reorder'"):
+            client_faults(0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +454,6 @@ class TestBackpressure:
         session queue must never exceed its bound (the reader stalls),
         every frame must eventually ack in order, and the model must
         be exact."""
-        from repro.distributed.framing import recv_frame, send_frame
         from repro.service import ops as service_ops
 
         trace = serial_chain_trace(3, 40)

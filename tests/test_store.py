@@ -321,6 +321,70 @@ class TestCorruptHeader:
             assert tuple(copy.events) == tuple(original.events)
 
 
+def patch_column(path: str, name: str, index: int, value: int) -> None:
+    """Overwrite entry *index* of column *name* in a finalized store.
+
+    A negative *index* counts from the end of the column, like a list.
+    """
+    codes = {"kinds": "<B", "subjects": "<I", "offsets": "<Q"}
+    with open(path, "r+b") as stream:
+        blob = stream.read()
+        (length,) = struct.unpack("<Q", blob[8:16])
+        offset, count = json.loads(blob[16:16 + length])["columns"][name]
+        code = struct.Struct(codes[name])
+        position = (16 + length + 7) & ~7
+        position += offset + code.size * (index % count)
+        stream.seek(position)
+        stream.write(code.pack(value))
+
+
+def _offset_after_next(path: str) -> int:
+    """An offset for period 1 that lies past period 2's start."""
+    store = TraceStore(path)
+    try:
+        return store._columns["offsets"][2] + 1
+    finally:
+        store.close()
+
+
+CORRUPT_COLUMNS = {
+    "subject-id-out-of-range": ("subjects", 0, lambda path: 99999),
+    "kind-code-out-of-range": ("kinds", 0, lambda path: 200),
+    "last-offset-past-events": ("offsets", -1, lambda path: 10**9),
+    "first-offset-not-zero": ("offsets", 0, lambda path: 1),
+    "offsets-decrease": ("offsets", 1, _offset_after_next),
+}
+
+
+class TestCorruptColumns:
+    """Column contents are range-checked at open, not at first use."""
+
+    @pytest.fixture(params=sorted(CORRUPT_COLUMNS))
+    def corrupt_store(self, request, figure2, tmp_path):
+        path = str(tmp_path / "bad.rts")
+        write_store(figure2, path)
+        name, index, value = CORRUPT_COLUMNS[request.param]
+        patch_column(path, name, index, value(path))
+        return path
+
+    def test_open_raises_trace_error(self, corrupt_store):
+        with pytest.raises(TraceError, match="corrupt"):
+            TraceStore(corrupt_store)
+
+    @pytest.mark.parametrize("argv", [
+        ("store-info",), ("learn", "--bound", "4", "--quiet"),
+    ], ids=["store-info", "learn"])
+    def test_cli_exits_2_without_traceback(self, corrupt_store, argv):
+        from repro.cli import main
+
+        command, *flags = argv
+        out = io.StringIO()
+        assert main([command, corrupt_store, *flags], out=out) == 2
+        assert out.getvalue().startswith("error: ")
+        assert "corrupt" in out.getvalue()
+        assert "Traceback" not in out.getvalue()
+
+
 class TestCli:
     def run(self, *argv):
         from repro.cli import main
